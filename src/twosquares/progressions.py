@@ -1,21 +1,24 @@
 """Residue-class statistics of consecutive E-elements.
 
 N(x;q,a), the pair matrix N(x;q,(a,b)), r-tuple counts N(x;q,avec) and gap
-histograms, all computed in one linear pass over the segmented sieve stream.
-Only E_n <= x starts a pair/tuple; its successors may exceed x (they are pulled
-from the sieve overshoot window).
+histograms come from one mergeable reducer over the windows of r consecutive
+E-elements that start at or below x (successors may exceed x; they come from the
+sieve overshoot window).  Each segment is reduced in blocks of BLOCK entries, in
+the pool workers when threads > 1; the parent merges the states in segment order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import sieve
-from .errors import ArgumentError, ResourceError
+from .errors import ArgumentError, ResourceError, TruncatedStreamError
 
 DENSE_CELLS_LIMIT = 5 * 10**7  # refuse q^r tables larger than this
+BLOCK = 1 << 20  # bitset entries per values() call; 2^18 costs about the same, 2^22 12 % more
 
 
 def _check_modulus(q: int) -> None:
@@ -46,44 +49,93 @@ class ResidueCountMatrix:
         return out
 
 
+class _Reducer:
+    """Counts of the windows of r consecutive fed elements whose first element is <= x.
+
+    Keyed by residues mod q (q^r cells) or, with q None and r = 2, by gap.  The first
+    and the last r-1 elements fed (all, if fewer) are kept so adjacent runs merge exactly.
+    """
+
+    def __init__(self, x: int, r: int, q: int | None):
+        self.x, self.r, self.q = x, r, q
+        self.counts = np.zeros(0 if q is None else q**r, dtype=np.int64)
+        self.head = self.tail = np.empty(0, dtype=np.int64)
+
+    def _add(self, counts: np.ndarray) -> None:  # the gap histogram grows to the largest gap
+        if counts.size > self.counts.size:
+            self.counts, counts = counts, self.counts
+        self.counts[: counts.size] += counts
+
+    def feed(self, v: np.ndarray) -> None:
+        """Count the windows that end in v, an ascending run that follows everything fed so far."""
+        r = self.r
+        if self.head.size < r - 1:
+            self.head = np.concatenate([self.head, v[: r - 1 - self.head.size]])
+        seq = np.concatenate([self.tail, v]) if self.tail.size else v
+        m = min(int(np.searchsorted(seq, self.x, side="right")), seq.size - r + 1)
+        if m > 0:
+            if self.q is None:
+                keys = seq[1 : m + 1] - seq[:m]
+            else:
+                res = seq[: m + r - 1] % self.q
+                keys = res[:m]
+                for i in range(1, r):
+                    keys = keys * self.q + res[i : i + m]
+            self._add(np.bincount(keys, minlength=self.counts.size))
+        self.tail = seq[max(seq.size - r + 1, 0) :]
+
+    def merge(self, other: "_Reducer") -> None:
+        """Append the state of the run that directly follows this one."""
+        self.feed(other.head)  # the windows that straddle the boundary
+        self._add(other.counts)
+        if other.head.size == self.r - 1:  # else other.tail == other.head, already fed
+            self.tail = other.tail
+
+
+def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_budget: int,
+                    cache_dir: str | None) -> _Reducer:
+    """Reducer state of E cap [lo, hi]; in a pool worker only this state travels back."""
+    red = _Reducer(x, r, q)
+    seg = sieve._cached_segment(lo, hi, segment_budget, cache_dir)
+    for start in range(0, hi - lo + 1, BLOCK):
+        red.feed(seg.values(start, start + BLOCK))
+    return red
+
+
+def _reduce(x: int, r: int, q: int | None, overshoot: int = sieve.DEFAULT_OVERSHOOT,
+            segment_budget: int = sieve.DEFAULT_SEGMENT_BITS, cache_dir: str | None = None,
+            threads: int = 1) -> _Reducer:
+    """Reduce E cap [1, x]; TruncatedStreamError if (x, x + overshoot] lacks r-1 successors."""
+    if x < 1:
+        raise ArgumentError("x must be >= 1")
+    total = _Reducer(x, r, q)
+    hi = x + overshoot if r > 1 else x
+    for part in sieve._map_segments(partial(_reduce_segment, x, r, q), 1, hi, segment_budget,
+                                    cache_dir, threads):
+        total.merge(part)
+        if r > 1 and total.tail.size == r - 1 and total.tail[0] > x:
+            return total  # every E_n <= x has its r-1 successors
+    if r > 1:
+        raise TruncatedStreamError(f"fewer than {r - 1} successors of x={x} within overshoot",
+                                   last_resolved=int(total.tail[-1]) if total.tail.size else None)
+    return total
+
+
 def count_by_residue(x: int, q: int, **sieve_kw) -> ResidueCountMatrix:
     """cell a = #{n <= x : n in E, n = a mod q}."""
     _check_modulus(q)
-    counts = np.zeros(q, dtype=np.int64)
-    if x >= 1:
-        for seg in sieve.iter_segments(1, x, **sieve_kw):
-            vals = seg.values()
-            counts += np.bincount(vals % q, minlength=q)
-    return ResidueCountMatrix(q=q, r=1, x=x, counts=counts)
+    return ResidueCountMatrix(q=q, r=1, x=x, counts=_reduce(x, 1, q, **sieve_kw).counts)
 
 
 def count_consecutive_tuples(x: int, q: int, r: int, max_r: int = 6,
                              **sieve_kw) -> ResidueCountMatrix:
     """cell (a_1..a_r) = #{E_n <= x : E_{n+i-1} = a_i mod q for 1 <= i <= r}."""
     _check_modulus(q)
-    if x < 1:
-        raise ArgumentError("x must be >= 1")
     if not 1 <= r <= max_r:
         raise ArgumentError(f"r={r} outside [1, {max_r}]")
-    if r == 1:
-        return count_by_residue(x, q, **sieve_kw)
     if q**r > DENSE_CELLS_LIMIT:
         raise ResourceError(f"q^r = {q**r} cells exceeds {DENSE_CELLS_LIMIT}")
-    counts = np.zeros(q**r, dtype=np.int64)
-    carry = np.empty(0, dtype=np.int64)  # last r-1 values of the stream so far
-    powers = q ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    for vals in sieve.stream_with_successors(x, r=r, **sieve_kw):
-        seq = np.concatenate([carry, vals])
-        if seq.size >= r:
-            res = seq % q
-            starts = seq[: seq.size - r + 1]
-            mask = starts <= x
-            if mask.any():
-                code = np.zeros(starts.size, dtype=np.int64)
-                for i in range(r):
-                    code += res[i : i + starts.size] * powers[i]
-                counts += np.bincount(code[mask], minlength=q**r)
-        carry = seq[-(r - 1):]
+    counts = _reduce(x, r, q, **sieve_kw).counts
     return ResidueCountMatrix(q=q, r=r, x=x, counts=counts.reshape((q,) * r))
 
 
@@ -92,41 +144,15 @@ def count_consecutive_pairs(x: int, q: int, **sieve_kw) -> ResidueCountMatrix:
 
 
 def residue_pair_stats(x: int, q: int, **sieve_kw):
-    """(singles, pairs) matrices in a single sieve pass (shared heavy runs)."""
+    """(singles, pairs) in one sieve pass; each E_n <= x starts one pair, so singles = row sums."""
     _check_modulus(q)
-    singles = np.zeros(q, dtype=np.int64)
-    pairs = np.zeros(q * q, dtype=np.int64)
-    carry = np.empty(0, dtype=np.int64)
-    for vals in sieve.stream_with_successors(x, r=2, **sieve_kw):
-        singles += np.bincount(vals[vals <= x] % q, minlength=q)
-        seq = np.concatenate([carry, vals])
-        if seq.size >= 2:
-            left, right = seq[:-1], seq[1:]
-            mask = left <= x
-            pairs += np.bincount((left[mask] % q) * q + right[mask] % q, minlength=q * q)
-        carry = seq[-1:]
-    return (
-        ResidueCountMatrix(q=q, r=1, x=x, counts=singles),
-        ResidueCountMatrix(q=q, r=2, x=x, counts=pairs.reshape(q, q)),
-    )
+    pairs = _reduce(x, 2, q, **sieve_kw).counts.reshape(q, q)
+    return (ResidueCountMatrix(q=q, r=1, x=x, counts=pairs.sum(axis=1)),
+            ResidueCountMatrix(q=q, r=2, x=x, counts=pairs))
 
 
 def gap_histogram(x: int, **sieve_kw) -> dict[int, int]:
     """Histogram of E_{n+1} - E_n over E_n <= x."""
     if x < 2:
         raise ArgumentError("x must be >= 2")
-    acc = np.zeros(0, dtype=np.int64)
-    carry = np.empty(0, dtype=np.int64)
-    for vals in sieve.stream_with_successors(x, r=2, **sieve_kw):
-        seq = np.concatenate([carry, vals])
-        if seq.size >= 2:
-            gaps = np.diff(seq)[seq[:-1] <= x]
-            if gaps.size:
-                h = np.bincount(gaps)
-                if h.size > acc.size:
-                    h[: acc.size] += acc
-                    acc = h
-                else:
-                    acc[: h.size] += h
-        carry = seq[-1:]
-    return {int(g): int(c) for g, c in enumerate(acc) if c}
+    return {int(g): int(c) for g, c in enumerate(_reduce(x, 2, None, **sieve_kw).counts) if c}

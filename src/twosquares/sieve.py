@@ -16,8 +16,9 @@ live row and advances it to b + 1, so the writes of one step fall in a band
 about 2 sqrt(hi) wide instead of across the whole window.
 
 With threads > 1 the segments are sieved in a process pool that keeps at most
-`threads` segments in flight.  `count_up_to` counts inside the workers and
-gets one int back per segment; `iter_segments` returns the bitsets.
+`threads` segments in flight.  `count_up_to` counts and the statistics of
+`progressions` reduce inside the workers, so one int or a small reducer state
+travels back per segment; `iter_segments` returns the bitsets.
 
 The optional per-segment cache stores each bitset with its length and a zlib
 CRC32; a truncated, corrupt or old-format file is recomputed and rewritten.
@@ -40,7 +41,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceError, TruncatedStreamError
+from .errors import ArgumentError, ResourceError
 
 DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
 DEFAULT_OVERSHOOT = 10**6
@@ -64,9 +65,9 @@ class SieveSegment:
             n -= 1
         return n
 
-    def values(self) -> np.ndarray:
-        """Ascending int64 array of the E-elements in [lo, hi]."""
-        return np.flatnonzero(self.bits).astype(np.int64) + self.lo
+    def values(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Ascending int64 E-elements lo + i, start <= i < stop (default: the whole segment)."""
+        return np.flatnonzero(self.bits[start:stop]) + (self.lo + start)
 
     def to_bytes(self) -> bytes:
         words = np.packbits(self.bits, bitorder="little").tobytes()
@@ -167,11 +168,8 @@ def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) 
 
 
 def _segment_ranges(lo: int, hi: int, segment_budget: int):
-    start = lo
-    while start <= hi:
-        end = min(start + segment_budget - 1, hi)
-        yield start, end
-        start = end + 1
+    for start in range(lo, hi + 1, segment_budget):
+        yield start, min(start + segment_budget - 1, hi)
 
 
 def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None) -> SieveSegment:
@@ -275,27 +273,3 @@ def count_up_to(x: int, include_zero: bool = False,
         return total
     return total + sum(_map_segments(_segment_count, 1, x, segment_budget, cache_dir, threads))
 
-
-def stream_with_successors(x: int, r: int = 2, overshoot: int = DEFAULT_OVERSHOOT,
-                           segment_budget: int = DEFAULT_SEGMENT_BITS,
-                           cache_dir: str | None = None, threads: int = 1):
-    """Yield value batches covering E cap [1, x] plus >= r-1 elements beyond x.
-
-    Raises TruncatedStreamError if the overshoot window does not contain the
-    required successors of the last in-range element.
-    """
-    beyond = 0
-    last = None
-    for vals in enumerate_up_to(x, overshoot, segment_budget, cache_dir, threads):
-        if vals.size == 0:
-            continue
-        yield vals
-        last = int(vals[-1])
-        beyond += int(np.count_nonzero(vals > x))
-        if beyond >= r - 1:
-            return
-    if beyond < r - 1:
-        raise TruncatedStreamError(
-            f"needed {r - 1} successors beyond x={x} within overshoot, found {beyond}",
-            last_resolved=last,
-        )

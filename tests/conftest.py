@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-The x = 10^9 sieve pass is the one genuinely heavy computation in the suite
-(~1-2 minutes); it is session-scoped and shared between the acceptance
-criteria and the bias-direction property tests.
+The x = 10^9 pair-statistics pass is the heaviest sieve computation in the
+suite (about 5 s with two workers on two cores); it is session-scoped and
+shared between the acceptance criteria and the bias-direction property tests.
 """
 
 import os

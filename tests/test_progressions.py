@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twosquares import progressions, sieve
-from twosquares.errors import ArgumentError
+from twosquares.errors import ArgumentError, TruncatedStreamError
 
 
 def _members(x, extra=0):
@@ -48,12 +48,56 @@ def test_single_counts_match_brute_force():
        st.integers(min_value=100, max_value=3000))
 @settings(max_examples=20, deadline=None)
 def test_pair_marginals_match_singles(q, x):
-    # sum_b pairs(a, b) = singles(a), up to the one boundary element whose
-    # successor exceeds x
+    # sum_b pairs(a, b) = singles(a) exactly: every E_n <= x gets its successor,
+    # even when that successor exceeds x
     singles, pairs = progressions.residue_pair_stats(x, q)
     for a in range(q):
-        assert abs(int(pairs.counts[a].sum()) - singles.cell(a)) <= 1
+        assert int(pairs.counts[a].sum()) == singles.cell(a)
     assert pairs.total() == singles.total()
+
+
+BRUTE_X, OVERSHOOT = 3000, 100  # E has gaps of at most 15 below 3100
+BRUTE_E = [n for n in range(1, BRUTE_X + OVERSHOOT) if sieve.is_sum_of_two_squares(n)]
+
+
+@given(x=st.integers(min_value=1, max_value=BRUTE_X),
+       q=st.sampled_from([5, 13, 17]),
+       r=st.integers(min_value=1, max_value=4),
+       budget=st.sampled_from([1, 2, 3, 7, 64, 2**12]),
+       block=st.sampled_from([1, 3, progressions.BLOCK]),
+       pooled=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_statistics_match_brute_list_across_segment_edges(x, q, r, budget, block, pooled):
+    # budgets and blocks of 1-3 entries give runs with fewer than r-1 elements or
+    # none, so reducer states merge across short runs; threads=2 reduces in workers
+    kw = {"segment_budget": budget, "overshoot": OVERSHOOT,
+          "threads": 2 if pooled and budget >= 64 else 1}
+    starts = [i for i, v in enumerate(BRUTE_E) if v <= x]
+    want = np.zeros((q,) * r, dtype=np.int64)
+    for i in starts:
+        want[tuple(v % q for v in BRUTE_E[i:i + r])] += 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progressions, "BLOCK", block)
+        assert np.array_equal(progressions.count_consecutive_tuples(x, q, r, **kw).counts, want)
+        if r == 1:
+            assert np.array_equal(progressions.count_by_residue(x, q, **kw).counts, want)
+        if r == 2:
+            singles, pairs = progressions.residue_pair_stats(x, q, **kw)
+            assert np.array_equal(pairs.counts, want)
+            assert np.array_equal(singles.counts, want.sum(axis=1))
+        if r == 2 and x >= 2:
+            gaps = {}
+            for i in starts:
+                g = BRUTE_E[i + 1] - BRUTE_E[i]
+                gaps[g] = gaps.get(g, 0) + 1
+            assert progressions.gap_histogram(x, **kw) == gaps
+
+
+def test_truncated_overshoot_raises_with_last_resolved():
+    # with no overshoot the stream ends at 25, whose successor 26 is never sieved
+    with pytest.raises(TruncatedStreamError) as err:
+        progressions.count_consecutive_tuples(25, 5, 2, overshoot=0)
+    assert err.value.last_resolved == 25
 
 
 def test_gap_histogram_small_examples():
@@ -73,10 +117,9 @@ def test_pairs_vs_tuples_consistency():
     x = 10**5
     pairs = progressions.count_consecutive_pairs(x, 5)
     trip = progressions.count_consecutive_tuples(x, 5, 3)
-    # marginalizing the third coordinate recovers the pair counts (up to the
-    # boundary tuple at x)
-    marg = trip.counts.sum(axis=2)
-    assert np.abs(marg - pairs.counts).max() <= 1
+    # marginalizing the third coordinate recovers the pair counts exactly:
+    # every E_n <= x gets both successors, even past x
+    assert np.array_equal(trip.counts.sum(axis=2), pairs.counts)
 
 
 def test_bias_directions_at_1e9(stats_1e9):

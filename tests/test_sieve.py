@@ -79,15 +79,25 @@ def test_segment_independence(lo, width):
     assert np.array_equal(small.values(), expect)
 
 
+@pytest.mark.parametrize("start, stop", [
+    (0, None), (0, 1), (5, 6), (0, 4096), (17, 1000), (4000, None), (4097, None), (4096, 9000),
+])
+def test_values_bounds_match_slice_of_full_values(start, stop):
+    seg = sieve.sieve_segment(10**9, 10**9 + 4096)
+    full = seg.values()
+    end = seg.hi - seg.lo + 1 if stop is None else stop
+    expect = full[(full >= seg.lo + start) & (full < seg.lo + end)]
+    got = seg.values(start, stop)
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
+
+
 def test_enumerate_small_examples():
     vals = np.concatenate(list(sieve.enumerate_up_to(10)))
     assert vals[vals <= 10].tolist() == [1, 2, 4, 5, 8, 9, 10]
     start = np.concatenate(list(sieve.enumerate_up_to(1)))[:2]
     assert start.tolist() == [1, 2]  # the stream past x=1 starts 1, 2
     # successor of the last in-range element 25 is 26 = 5^2 + 1^2
-    stream = []
-    for vals in sieve.stream_with_successors(25, r=2):
-        stream.extend(vals.tolist())
+    stream = np.concatenate(list(sieve.enumerate_up_to(25))).tolist()
     assert 25 in stream and 26 in stream
 
 
