@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the reference tables end to end and print them as markdown.
 
+Each table is the output of `twosquares table --id N --format md`: `# k=v`
+meta lines, then the markdown table, then the seconds it took.  The exit
+status is the CLI's: 0 success, 2 argument error, 3 accuracy/resource error;
+the script stops at the first table that fails.
+
 By default the heavy 10^12 sieve cells are served from recorded reference
 values (labeled "reference" in the output); pass --allow-long-run to recompute
 everything, which takes hours and tens of GB of cache.
@@ -17,16 +22,7 @@ import argparse
 import sys
 import time
 
-from twosquares import tables
-
-
-def render_md(header, rows, meta) -> str:
-    lines = [f"<!-- {k}={v} -->" for k, v in meta.items()]
-    lines.append("| " + " | ".join(str(h) for h in header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for r in rows:
-        lines.append("| " + " | ".join("" if c is None else str(c) for c in r) + " |")
-    return "\n".join(lines)
+from twosquares import cli
 
 
 def main(argv=None) -> int:
@@ -38,17 +34,18 @@ def main(argv=None) -> int:
     ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args(argv)
 
+    opts = ["--format", "md", "--threads", str(args.threads)]
+    if args.allow_long_run:
+        opts.append("--allow-long-run")
+    if args.cache_dir:
+        opts += ["--cache-dir", args.cache_dir]
     for tid in args.tables:
-        kwargs = {}
-        if tid in (1, 2):
-            kwargs = {"allow_long_run": args.allow_long_run,
-                      "threads": args.threads, "cache_dir": args.cache_dir}
-        elif tid in (6, 7):
-            kwargs = {"allow_long_run": args.allow_long_run}
-        t0 = time.time()
-        header, rows, meta = tables.reproduce_table(tid, **kwargs)
-        print(f"\n## Table {tid}  ({time.time() - t0:.1f}s)\n")
-        print(render_md(header, rows, meta))
+        print(f"\n## Table {tid}\n", flush=True)
+        t0 = time.perf_counter()
+        code = cli.run(["table", "--id", str(tid), *opts])
+        if code:
+            return code
+        print(f"\n({time.perf_counter() - t0:.1f}s)", flush=True)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Dirichlet characters mod q (and mod 4q) and real-axis zeta/L values.
+"""Dirichlet characters mod a prime q = 1 (mod 4) (and mod 4q) and real-axis zeta/L values.
 
 All evaluators are plain binary64:
   * hurwitz(s, a) - Euler-Maclaurin with Bernoulli tail, valid for real
@@ -8,6 +8,8 @@ All evaluators are plain binary64:
     L(1,chi) = -(1/M) sum chi(a) psi(a/M) (digamma), for non-principal chi.
 Characters are value tables over Z/M with exact roots of unity; mod-4q products
 are built via CRT on units (values chi(a mod q) * chi4(a mod 4)).
+check_modulus(q) is the package's one test of a modulus: every residue-class
+statistic, constant and character table requires a prime q = 1 (mod 4).
 """
 
 from __future__ import annotations
@@ -193,11 +195,16 @@ class CharacterTable:
         return list(self.characters[1:])
 
 
+def check_modulus(q: int) -> None:
+    """ArgumentError unless q is a prime = 1 (mod 4)."""
+    if q % 4 != 1 or q < 5 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+        raise ArgumentError(f"q={q} must be a prime = 1 mod 4")
+
+
 @lru_cache(maxsize=None)
 def character_table(q: int) -> CharacterTable:
-    """All phi(q) = q-1 characters of a prime modulus q via a primitive root."""
-    if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
-        raise ArgumentError(f"q={q} must be prime")
+    """All phi(q) = q-1 characters of a prime modulus q = 1 (mod 4) via a primitive root."""
+    check_modulus(q)
     g = _primitive_root(q)
     phi = q - 1
     dlog = {}

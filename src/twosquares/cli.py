@@ -135,8 +135,7 @@ def gaps_cmd(x, threads, cache_dir, fmt):
 
 @main.command("constants")
 @click.option("--q", type=int, default=5)
-@click.option("--json", "as_json", is_flag=True, default=True)
-def constants_cmd(q, as_json):
+def constants_cmd(q):
     """Dump the constants bundle (K, omega, expansion coefficients, ...)."""
     bundle = constants.build_bundle(q)
     payload = {"meta": _meta(q=q), "bundle": bundle.as_json_dict()}
@@ -275,36 +274,20 @@ def integral_ktuple_cmd(k, bigh, eps, nodes):
 
 @main.command("table")
 @click.option("--id", "table_id", type=int, required=True)
-@click.option("--x", type=float, default=None)
+@click.option("--x", type=float, default=None,
+              help="scale of tables 1 and 3-5, the one row of table 2")
 @click.option("--h", "--H", "bigh", type=float, default=None,
-              help="restrict tables 6/7 to one H")
+              help="the one H row of tables 6 and 7")
 @click.option("--allow-long-run", is_flag=True)
 @click.option("--threads", type=int, default=1)
 @click.option("--cache-dir", default=None)
 @click.option("--format", "fmt", type=_FORMATS, default="md")
 def table_cmd(table_id, x, bigh, allow_long_run, threads, cache_dir, fmt):
     """Reproduce one of the seven reference tables."""
-    kwargs = {}
-    if table_id in (1,):
-        kwargs = {"allow_long_run": allow_long_run, "threads": threads,
-                  "cache_dir": _cache_dir(cache_dir)}
-        if x is not None:
-            kwargs["x"] = _x_int(x)
-    elif table_id == 2:
-        kwargs = {"allow_long_run": allow_long_run, "threads": threads,
-                  "cache_dir": _cache_dir(cache_dir)}
-        if x is not None:
-            kwargs["xs"] = [_x_int(x)]
-    elif table_id in (3, 4, 5):
-        if x is not None:
-            kwargs["x"] = _x_int(x)
-    else:
-        kwargs = {"allow_long_run": allow_long_run}
-        if bigh is not None:
-            kwargs["Hs"] = [bigh]
-    header, rows, meta = tables.reproduce_table(table_id, **kwargs)
-    meta = {**_meta(table=table_id), **meta}
-    _emit(header, rows, meta, fmt)
+    header, rows, meta = tables.reproduce_table(
+        table_id, x=None if x is None else _x_int(x), H=bigh,
+        allow_long_run=allow_long_run, threads=threads, cache_dir=_cache_dir(cache_dir))
+    _emit(header, rows, {**_meta(table=table_id), **meta}, fmt)
 
 
 def run(argv=None) -> int:

@@ -20,27 +20,20 @@ import numpy as np
 
 from . import characters as chars
 from . import eulerprod as ep
+from . import refdata
 from .errors import AccuracyError, ArgumentError
 
 EULER_GAMMA = 0.57721566490153286061  # hard-coded universal constant
 
 
-def landau_ramanujan(depth_J: int = 6, tail_prime_bound: int = 1000) -> float:
-    """K = 2^{-1/2} prod_{p=3(4)} (1-p^-2)^{-1/2}, accelerated and depth-certified."""
-    if depth_J < 3:
-        raise ArgumentError("depth_J >= 3 required")
-    if tail_prime_bound < 1000:
-        raise ArgumentError("tail_prime_bound >= 1000 required")
-    k1 = (2 * ep.ep3(2.0, depth_J, tail_prime_bound)) ** -0.5
-    k2 = (2 * ep.ep3(2.0, depth_J + 1, tail_prime_bound)) ** -0.5
-    if abs(k1 - k2) > 1e-10:
-        raise AccuracyError(f"depth {depth_J} vs {depth_J+1} disagree: {k1} vs {k2}", partial=k2)
-    return k2
-
-
 @lru_cache(maxsize=1)
-def _K() -> float:
-    return landau_ramanujan()
+def landau_ramanujan() -> float:
+    """K = 2^{-1/2} prod_{p=3(4)} (1-p^-2)^{-1/2}, accelerated; depths 6 and 7 must agree."""
+    k1 = (2 * ep.ep3(2.0, 6)) ** -0.5
+    k2 = (2 * ep.ep3(2.0, 7)) ** -0.5
+    if abs(k1 - k2) > 1e-10:
+        raise AccuracyError(f"depth 6 vs 7 disagree: {k1} vs {k2}", partial=k2)
+    return k2
 
 
 def alpha1() -> float:
@@ -55,22 +48,17 @@ def omega_constant() -> float:
 
 
 def z_prime_0() -> float:
-    return _K() / sqrt(pi) * omega_constant()
+    return landau_ramanujan() / sqrt(pi) * omega_constant()
 
 
 def selberg_delange_coeffs(q: int):
     """(c(1), c0(1), c1(1)) closed forms for prime q = 1 mod 4."""
-    _check_q(q)
-    K, om = _K(), omega_constant()
+    chars.check_modulus(q)
+    K, om = landau_ramanujan(), omega_constant()
     c1 = (om + EULER_GAMMA) / (2 * pi * K)
     c1_1 = -log(q) / (K * (q - 1) * pi)
     c0_1 = ((om + EULER_GAMMA) / 2 + log(q)) / (K * pi)
     return c1, c0_1, c1_1
-
-
-def _check_q(q: int) -> None:
-    if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)) or q % 4 != 1:
-        raise ArgumentError(f"q={q} must be a prime = 1 mod 4")
 
 
 def _sqrt_pos(z: complex, what: str) -> complex:
@@ -115,10 +103,10 @@ def _C_q_chi_all(q: int):
 
 def C_ab(q: int, a: int, b: int, K: float | None = None) -> float:
     """C_{a,b} = (q / (2 K phi(q))) sum_{chi != chi0} conj(chi)(b-a) C_{q,chi}."""
-    _check_q(q)
+    chars.check_modulus(q)
     if (a - b) % q == 0:
         raise ArgumentError("a = b mod q: off-diagonal only")
-    K = K if K is not None else _K()
+    K = K if K is not None else landau_ramanujan()
     v = (b - a) % q
     s = sum(chi.conj()(v) * c for chi, c in _C_q_chi_all(q))
     s *= q / (2 * K * (q - 1))
@@ -129,8 +117,8 @@ def C_ab(q: int, a: int, b: int, K: float | None = None) -> float:
 
 def residue_constant(q: int, v: int) -> float:
     """Constant term of S(q, v; H) for v != 0: (1/(2K^2 phi(q))) sum conj(chi)(v) C_{q,chi}."""
-    _check_q(q)
-    K = _K()
+    chars.check_modulus(q)
+    K = landau_ramanujan()
     s = sum(chi.conj()(v % q) * c for chi, c in _C_q_chi_all(q))
     s /= 2 * K * K * (q - 1)
     if abs(s.imag) > 1e-10:
@@ -140,8 +128,8 @@ def residue_constant(q: int, v: int) -> float:
 
 def pair_conjecture_C1(q: int) -> float:
     """C1 = (sqrt2 phi(q)/pi)(log K + (omega+gamma)/2) + sqrt2 q log q / pi."""
-    _check_q(q)
-    K, om = _K(), omega_constant()
+    chars.check_modulus(q)
+    K, om = landau_ramanujan(), omega_constant()
     return (sqrt(2) * (q - 1) / pi) * (log(K) + (om + EULER_GAMMA) / 2) + sqrt(2) * q * log(q) / pi
 
 
@@ -197,15 +185,15 @@ def _derivative_richardson(f, order: int, h0: float, levels: int, tol: float):
 
 
 @lru_cache(maxsize=None)
-def higher_coeffs_numeric(j_max: int = 3, q: int = 5, h0: float = 0.06, levels: int = 4):
+def higher_coeffs_numeric(j_max: int = 3, q: int = 5):
     """map j -> (c(j), c0(j), c1(j)) for 1 <= j <= j_max, via the Taylor oracle."""
     if j_max > 4:
         raise ArgumentError("j_max <= 4")
-    _check_q(q)
-    K = _K()
+    chars.check_modulus(q)
+    K = landau_ramanujan()
     # Taylor coefficients p_j of P(s) at 0
     pcoef = [
-        _derivative_richardson(_P_of_s, d, h0, levels, 1e-6) / gamma_fn(d + 1)
+        _derivative_richardson(_P_of_s, d, 0.06, 4, 1e-6) / gamma_fn(d + 1)
         for d in range(j_max + 1)
     ]
     # multiply by (1 - q^-s)/s = sum_n (-1)^n log(q)^{n+1}/(n+1)! * s^n
@@ -258,13 +246,10 @@ class ConstantsBundle:
         }
 
 
-C1_LANDAU_REFINED = 0.581948659  # second coefficient of the refined count
-
-
 @lru_cache(maxsize=None)
 def build_bundle(q: int = 5, j_max: int = 3) -> ConstantsBundle:
-    _check_q(q)
-    K = _K()
+    chars.check_modulus(q)
+    K = landau_ramanujan()
     om = omega_constant()
     c1, c0_1, c1_1 = selberg_delange_coeffs(q)
     hi = higher_coeffs_numeric(j_max, q)
@@ -286,7 +271,7 @@ def build_bundle(q: int = 5, j_max: int = 3) -> ConstantsBundle:
     }
     return ConstantsBundle(
         q=q, K=K, gamma=EULER_GAMMA, omega=om, z_prime_0=z_prime_0(),
-        c1_landau=C1_LANDAU_REFINED, c_j=c_j, c0_j=c0_j, c1_j=c1_j,
+        c1_landau=refdata.C1_REFINED, c_j=c_j, c0_j=c0_j, c1_j=c1_j,
         C_q_chi=cqchi, C_ab=cab, residue_const=rconst,
         pair_C1=pair_conjecture_C1(q), method_tags=tags,
     )

@@ -15,17 +15,11 @@ from functools import partial
 import numpy as np
 
 from . import sieve
+from .characters import check_modulus
 from .errors import ArgumentError, ResourceError, TruncatedStreamError
 
 DENSE_CELLS_LIMIT = 5 * 10**7  # refuse q^r tables larger than this
 BLOCK = 1 << 20  # bitset entries per values() call; 2^18 costs about the same, 2^22 12 % more
-
-
-def _check_modulus(q: int) -> None:
-    if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
-        raise ArgumentError(f"q={q} must be prime")
-    if q % 4 != 1:
-        raise ArgumentError(f"q={q} must be = 1 mod 4")
 
 
 @dataclass
@@ -123,16 +117,15 @@ def _reduce(x: int, r: int, q: int | None, overshoot: int = sieve.DEFAULT_OVERSH
 
 def count_by_residue(x: int, q: int, **sieve_kw) -> ResidueCountMatrix:
     """cell a = #{n <= x : n in E, n = a mod q}."""
-    _check_modulus(q)
+    check_modulus(q)
     return ResidueCountMatrix(q=q, r=1, x=x, counts=_reduce(x, 1, q, **sieve_kw).counts)
 
 
-def count_consecutive_tuples(x: int, q: int, r: int, max_r: int = 6,
-                             **sieve_kw) -> ResidueCountMatrix:
+def count_consecutive_tuples(x: int, q: int, r: int, **sieve_kw) -> ResidueCountMatrix:
     """cell (a_1..a_r) = #{E_n <= x : E_{n+i-1} = a_i mod q for 1 <= i <= r}."""
-    _check_modulus(q)
-    if not 1 <= r <= max_r:
-        raise ArgumentError(f"r={r} outside [1, {max_r}]")
+    check_modulus(q)
+    if not 1 <= r <= 6:
+        raise ArgumentError(f"r={r} outside [1, 6]")
     if q**r > DENSE_CELLS_LIMIT:
         raise ResourceError(f"q^r = {q**r} cells exceeds {DENSE_CELLS_LIMIT}")
     counts = _reduce(x, r, q, **sieve_kw).counts
@@ -145,7 +138,7 @@ def count_consecutive_pairs(x: int, q: int, **sieve_kw) -> ResidueCountMatrix:
 
 def residue_pair_stats(x: int, q: int, **sieve_kw):
     """(singles, pairs) in one sieve pass; each E_n <= x starts one pair, so singles = row sums."""
-    _check_modulus(q)
+    check_modulus(q)
     pairs = _reduce(x, 2, q, **sieve_kw).counts.reshape(q, q)
     return (ResidueCountMatrix(q=q, r=1, x=x, counts=pairs.sum(axis=1)),
             ResidueCountMatrix(q=q, r=2, x=x, counts=pairs))

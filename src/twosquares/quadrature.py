@@ -42,19 +42,23 @@ from . import constants, eulerprod as ep
 from .errors import AccuracyError, ArgumentError
 
 
+REL_TARGET = 1e-8  # node-doubling agreement every integral must reach
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """The two settings of an integral: its lower cut 1/2 + epsilon and its node count.
+
+    The endpoint substitutions (_panel_nodes), the Richardson levels of F' and
+    the node-doubling target REL_TARGET are fixed.
+    """
+
     epsilon: float = 0.02  # 0 means: integrate to the 1/2 endpoint (quartic substitution)
     nodes: int = 64
-    substitution: str = "sqrt_endpoint"
-    derivative_steps: int = 4  # Richardson levels for F'
-    rel_target: float = 1e-8   # node-doubling agreement
 
     def __post_init__(self):
         if not (self.epsilon == 0.0 or 0.01 <= self.epsilon < 0.5):
             raise ArgumentError("epsilon must be 0 or lie in [0.01, 0.5)")
-        if self.substitution != "sqrt_endpoint":
-            raise ArgumentError("only the sqrt_endpoint substitution is wired")
         if self.nodes < 4:
             raise ArgumentError("nodes >= 4 required")
 
@@ -164,7 +168,7 @@ def _panel_nodes(eps: float, n: int):
     return sig, w
 
 
-def _integrate(fn, eps: float, nodes: int, rel_target: float) -> float:
+def _integrate(fn, eps: float, nodes: int) -> float:
     """int_{1/2+eps}^1 fn(sigma)/|sigma-1|^{1/2} d sigma, node-doubling checked."""
 
     def total(n: int) -> float:
@@ -172,7 +176,7 @@ def _integrate(fn, eps: float, nodes: int, rel_target: float) -> float:
         return float(np.dot(w, fn(sig)))
 
     coarse, fine = total(nodes), total(2 * nodes)
-    if abs(fine - coarse) > rel_target * max(abs(fine), 1e-300):
+    if abs(fine - coarse) > REL_TARGET * max(abs(fine), 1e-300):
         raise AccuracyError(
             f"node doubling {nodes}->{2*nodes} disagrees: {coarse} vs {fine}",
             partial=fine)
@@ -194,7 +198,7 @@ def integral_count(x: float, cfg: QuadratureConfig | None = None) -> float:
         raise ArgumentError("x >= 1000 required")
     lx = log(x)
     val = _integrate(lambda s: G_fn(s) * np.exp(s * lx) / s,
-                     cfg.epsilon, cfg.nodes, cfg.rel_target)
+                     cfg.epsilon, cfg.nodes)
     return val / pi
 
 
@@ -209,7 +213,7 @@ def integral_S(q: int, v: int, H: float, cfg: QuadratureConfig | None = None) ->
     v %= q
     if v != 0:
         integral = _integrate(lambda s: F_chi0(s, q) * np.exp((s - 1) * lH),
-                              cfg.epsilon, cfg.nodes, cfg.rel_target)
+                              cfg.epsilon, cfg.nodes)
         return (H / q + bundle.residue_const[v]
                 + integral / (2 * pi * K * K * (q - 1)))
 
@@ -217,10 +221,10 @@ def integral_S(q: int, v: int, H: float, cfg: QuadratureConfig | None = None) ->
         raise ArgumentError("epsilon >= 0.01 required where F' enters the integrand")
 
     def fn(s):
-        return (F_gamma_prime(s, cfg.derivative_steps)
+        return (F_gamma_prime(s)
                 + F_gamma(s) * (lH - A_q(s, q) / 2)) * np.exp((s - 1) * lH)
 
-    integral = _integrate(fn, cfg.epsilon, cfg.nodes, cfg.rel_target)
+    integral = _integrate(fn, cfg.epsilon, cfg.nodes)
     return H / q + integral / (pi * K * K)
 
 
@@ -238,10 +242,10 @@ def integral_ktuple_average(k: int, H: float,
     lH = log(H)
 
     def fn(s):
-        return (F_inv_prime(s, cfg.derivative_steps)
+        return (F_inv_prime(s)
                 + F_inv(s) * lH) * np.exp((s - 1) * lH)
 
-    integral = _integrate(fn, cfg.epsilon, cfg.nodes, cfg.rel_target)
+    integral = _integrate(fn, cfg.epsilon, cfg.nodes)
     return H**k + k * (k - 1) * H ** (k - 1) / (pi * K * K) * integral
 
 

@@ -252,32 +252,6 @@ def _tail_log(cutoff: int, k: int, terms: int = 60) -> float:
     return total
 
 
-_VALIDATED = {"done": False}
-
-
-def _validate_tail_closed_form(rng_seed: int = 7) -> None:
-    """Spot-check the closed per-prime factor against brute force, 20 random (p, D)."""
-    if _VALIDATED["done"]:
-        return
-    rng = np.random.default_rng(rng_seed)
-    prims = [3, 7, 11]  # three even levels must fit the p^alpha budget
-    for _ in range(20):
-        p = int(rng.choice(prims))
-        k = int(rng.integers(2, 4))
-        while True:
-            offs = sorted(rng.choice(64, size=k, replace=False).tolist())
-            D = TupleConfig(tuple(int(o) for o in offs)).normalized()
-            if all(d % p for d in D.differences()):
-                break
-        brute = stabilized_density(p, D) / delta0(p) ** k
-        if brute != _closed_ratio(p, k):
-            raise AccuracyError(
-                f"closed tail factor mismatch at p={p}, D={D.offsets}: "
-                f"{brute} vs {_closed_ratio(p, k)}"
-            )
-    _VALIDATED["done"] = True
-
-
 def singular_series_general(D: TupleConfig, prime_cutoff: int = 50) -> SingularValue:
     """S(D) = prod_{p != 1 (4)} delta_D(p)/delta_0(p)^k, stabilized + tail."""
     D = D.normalized()
@@ -286,7 +260,6 @@ def singular_series_general(D: TupleConfig, prime_cutoff: int = 50) -> SingularV
         return SingularValue(1.0, "local_density_product", prime_cutoff, 0.0)
     if D.spread > 64 or k > 4:
         raise ArgumentError("oracle scale: spread <= 64 and k <= 4")
-    _validate_tail_closed_form()
     diffs = D.differences()
     cutoff = max(prime_cutoff, D.spread)
     ratio = stabilized_density(2, D) / delta0(2) ** k

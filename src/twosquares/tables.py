@@ -1,11 +1,13 @@
 """Reproduce the seven reference tables at configurable scale.
 
-Each reproduce_table(i) returns (header, rows, meta): rows are plain lists
-ready for CSV/JSON/markdown rendering.  Cells that would require sieving to
-10^12 are served from refdata and labeled "reference" unless a long run is
-explicitly allowed; every computed cell states its source ("sieve",
-"predict", "integral", "sum").  Percentage errors follow the actual/prediction
-convention of the reference tables, printed to 4 decimals.
+reproduce_table(i, x, H, ...) is the one entry point (the CLI's `table`
+command and scripts/reproduce_tables.py both go through it); it returns
+(header, rows, meta), with rows as plain lists ready for CSV/JSON/markdown
+rendering.  Cells that would require sieving to 10^12 are served from refdata
+and labeled "reference" unless a long run is explicitly allowed; every
+computed cell states its source ("sieve", "predict", "integral", "sum").
+Percentage errors follow the actual/prediction convention of the reference
+tables, printed to 4 decimals.
 """
 
 from __future__ import annotations
@@ -32,35 +34,26 @@ def _require_scale(x, allow_long_run):
 
 
 def table1(x: float | None = None, q: int = 5, allow_long_run: bool = False,
-           cache_dir=None, threads: int | None = None):
+           cache_dir=None, threads: int = 1):
     """Consecutive-pair counts N(x; q, (a,b)) for all residue cells."""
-    meta = {"q": q}
-    if x is None or int(x) == REFERENCE_X:
-        if not allow_long_run:
-            meta["actual_source"] = "reference"
-            counts = refdata.TABLE1
-            x = REFERENCE_X
-        else:
-            _, pairs = progressions.residue_pair_stats(
-                REFERENCE_X, q, cache_dir=cache_dir, threads=threads or 1)
-            counts = {(a, b): int(pairs.counts[a][b]) for a in range(q)
-                      for b in range(q)}
-            meta["actual_source"] = "sieve"
+    x = REFERENCE_X if x is None else int(x)
+    if x == REFERENCE_X and not allow_long_run:
+        counts, source = refdata.TABLE1, "reference"
     else:
         _require_scale(x, allow_long_run)
-        _, pairs = progressions.residue_pair_stats(
-            int(x), q, cache_dir=cache_dir, threads=threads or 1)
+        _, pairs = progressions.residue_pair_stats(x, q, cache_dir=cache_dir,
+                                                   threads=threads)
         counts = {(a, b): int(pairs.counts[a][b]) for a in range(q)
                   for b in range(q)}
-        meta["actual_source"] = "sieve"
-    meta["x"] = x
+        source = "sieve"
+    meta = {"q": q, "actual_source": source, "x": x}
     header = ["a", "b", "count"]
     rows = [[a, b, counts[(a, b)]] for a in range(q) for b in range(q)]
     return header, rows, meta
 
 
 def table2(xs=None, allow_long_run: bool = False, cache_dir=None,
-           threads: int | None = None):
+           threads: int = 1):
     """Counting function vs leading, refined and integral predictions."""
     xs = [int(v) for v in (xs or refdata.X_GRID)]
     header = ["x", "actual", "main", "refined", "integral",
@@ -74,7 +67,7 @@ def table2(xs=None, allow_long_run: bool = False, cache_dir=None,
             from .sieve import count_up_to
             # the published counting function includes n = 0 (0 = 0^2 + 0^2)
             actual, src = count_up_to(x, include_zero=True, cache_dir=cache_dir,
-                                      threads=threads or 1), "sieve"
+                                      threads=threads), "sieve"
         main = round(predictors.landau_refined(x, 0))
         refined = round(predictors.landau_refined(x, 1))
         integral = round(quadrature.integral_count(
@@ -152,11 +145,15 @@ def table5(x: float = REFERENCE_X, q: int = 5):
     return header, rows, {"x": x, "q": q, "H": ctx.H}
 
 
-def _table_s(v: int, q: int, Hs, allow_long_run: bool, eps: float):
+def _table_s(v: int, q: int, Hs, allow_long_run: bool):
+    """S(q,v;H) - H/q rows; Hs defaults to the published H list (1e6 with a long run)."""
     K = constants.landau_ramanujan()
+    if Hs is None:
+        Hs = [-1 / log(1 - K / sqrt(log(1e12))), 16, 100, 10**4] + (
+            [10**6] if allow_long_run else [])
     header = ["H", "exact", "integral", "J1", "J2", "J3",
               "pct_integral", "pct_J1", "pct_J2", "pct_J3"]
-    cfg = quadrature.QuadratureConfig(epsilon=eps)
+    cfg = quadrature.QuadratureConfig()
     rows = []
     for H in Hs:
         if H > 10**4 and not allow_long_run:
@@ -167,29 +164,40 @@ def _table_s(v: int, q: int, Hs, allow_long_run: bool, eps: float):
         rows.append([H, round(exact, 5), round(integ, 5)]
                     + [round(j, 5) for j in js]
                     + [_pct(exact, integ)] + [_pct(exact, j) for j in js])
-    return header, rows, {"q": q, "v": v, "epsilon": eps}
+    return header, rows, {"q": q, "v": v, "epsilon": cfg.epsilon}
 
 
-def table6(q: int = 5, Hs=None, allow_long_run: bool = False,
-           eps: float = 0.02):
+def table6(q: int = 5, Hs=None, allow_long_run: bool = False):
     """S(q,0;H) - H/q against the integral form and truncated asymptotics."""
-    Hs = Hs or [-1 / log(1 - constants.landau_ramanujan() / sqrt(log(1e12))),
-                16, 100, 10**4] + ([10**6] if allow_long_run else [])
-    return _table_s(0, q, Hs, allow_long_run, eps)
+    return _table_s(0, q, Hs, allow_long_run)
 
 
-def table7(q: int = 5, Hs=None, allow_long_run: bool = False,
-           eps: float = 0.02):
+def table7(q: int = 5, Hs=None, allow_long_run: bool = False):
     """S(q,3;H) - H/q against the integral form and truncated asymptotics."""
-    Hs = Hs or [-1 / log(1 - constants.landau_ramanujan() / sqrt(log(1e12))),
-                16, 100, 10**4] + ([10**6] if allow_long_run else [])
-    return _table_s(3, q, Hs, allow_long_run, eps)
+    return _table_s(3, q, Hs, allow_long_run)
 
 
-def reproduce_table(table_id: int, **kwargs):
-    """Dispatch to the per-table builders; table_id in 1..7."""
-    builders = {1: table1, 2: table2, 3: table3, 4: table4, 5: table5,
-                6: table6, 7: table7}
-    if table_id not in builders:
+def reproduce_table(table_id: int, x: float | None = None, H: float | None = None,
+                    allow_long_run: bool = False, threads: int = 1, cache_dir=None):
+    """Build table `table_id` (1..7) at the default scale or at one x or one H.
+
+    x sets the scale of tables 1 and 3-5 and the one row of table 2; H the one
+    row of tables 6 and 7.  An x or H that the table does not take is an
+    ArgumentError.  threads and cache_dir reach the sieve (tables 1 and 2),
+    allow_long_run the scale guards (tables 1, 2, 6 and 7).
+    """
+    if table_id not in range(1, 8):
         raise ArgumentError("table id must be 1..7")
-    return builders[table_id](**kwargs)
+    if table_id in (6, 7):
+        if x is not None:
+            raise ArgumentError(f"table {table_id} takes H, not x")
+        return (table6, table7)[table_id - 6](Hs=None if H is None else [H],
+                                             allow_long_run=allow_long_run)
+    if H is not None:
+        raise ArgumentError(f"table {table_id} takes x, not H")
+    if table_id in (3, 4, 5):
+        return (table3, table4, table5)[table_id - 3](REFERENCE_X if x is None else x)
+    sieve_kw = {"allow_long_run": allow_long_run, "threads": threads, "cache_dir": cache_dir}
+    if table_id == 1:
+        return table1(x, **sieve_kw)
+    return table2(None if x is None else [x], **sieve_kw)

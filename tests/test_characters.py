@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosquares import characters as chars
+from twosquares import characters as chars, constants, progressions
 from twosquares.errors import ArgumentError
 
 mp.mp.dps = 30
@@ -142,3 +142,16 @@ def test_argument_errors():
         chars.character_table(6)
     with pytest.raises(ArgumentError):
         chars.dirichlet_L(1.0, chars.character_table(5).principal)
+
+
+@pytest.mark.parametrize("q", [4, 6, 7])
+@pytest.mark.parametrize("build", [
+    chars.character_table,
+    constants.build_bundle,
+    lambda q: constants.C_ab(q, 0, 1),
+    lambda q: progressions.count_by_residue(100, q),
+], ids=["character_table", "build_bundle", "C_ab", "count_by_residue"])
+def test_one_modulus_check(build, q):
+    # every entry point rejects a modulus that is not a prime = 1 mod 4
+    with pytest.raises(ArgumentError, match="prime = 1 mod 4"):
+        build(q)

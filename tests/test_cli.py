@@ -1,8 +1,11 @@
 """CLI: subcommands, output formats, exit-code contract, cache env var."""
 
 import csv
+import importlib.util
 import io
 import json
+import os
+import re
 
 import pytest
 
@@ -107,6 +110,8 @@ def test_exit_code_2_on_bad_arguments(run):
     assert run("singular")[0] == 2                      # neither --h nor --tuple
     assert run("sieve-count", "--x", "-5")[0] == 2
     assert run("table", "--id", "9")[0] == 2
+    assert run("table", "--id", "3", "--h", "100")[0] == 2    # table 3 takes no H
+    assert run("table", "--id", "6", "--x", "1e9")[0] == 2    # table 6 takes no x
     assert run("integral-S", "--v", "0", "--h", "100", "--eps", "0.001")[0] == 2
 
 
@@ -120,3 +125,17 @@ def test_cache_env_var(run, tmp_path, monkeypatch):
     code, _ = run("sieve-count", "--x", "1e6")
     assert code == 0
     assert list(tmp_path.iterdir())
+
+
+def test_reproduce_tables_script(run, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "reproduce_tables.py")
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--tables", "3"]) == 0
+    out = capsys.readouterr().out
+    code, table = run("table", "--id", "3", "--format", "md")
+    assert code == 0
+    m = re.fullmatch(r"\n## Table 3\n\n(.*)\n\(\d+\.\ds\)\n", out, re.S)
+    assert m and m.group(1) == table
+    assert script.main(["--tables", "8"]) == 2

@@ -62,6 +62,22 @@ def test_delta0_closed_form(p):
     assert singular.delta0(p) == want
 
 
+def test_closed_tail_factor_matches_brute_force():
+    # singular_series_general uses the closed per-prime factor for every
+    # p = 3 mod 4 that divides no difference; 20 seeded (p, D) against brute force
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        p = int(rng.choice([3, 7, 11]))  # three even levels must fit the p^alpha budget
+        k = int(rng.integers(2, 4))
+        while True:
+            offs = sorted(rng.choice(64, size=k, replace=False).tolist())
+            D = TupleConfig(tuple(int(o) for o in offs)).normalized()
+            if all(d % p for d in D.differences()):
+                break
+        brute = singular.stabilized_density(p, D) / singular.delta0(p) ** k
+        assert brute == singular._closed_ratio(p, k), (p, D.offsets)
+
+
 def test_exp_sums_geometric_identities():
     for q, v, H in [(5, 1, 10.0), (5, 0, 33.3), (7, 3, 100.0)]:
         E, Eqv, f = singular.exp_sums(q, v, H)
