@@ -4,10 +4,9 @@ Selberg-Delange constants, conjectural predictions and table reproduction."""
 from .constants import ConstantsBundle, build_bundle, landau_ramanujan
 from .errors import (AccuracyError, ArgumentError, ResourceError,
                      TruncatedStreamError, TwoSquaresError)
-from .predictors import (PredictionReport, PredictorContext, ap_prediction,
-                         asymptotic_S, hl_pair_prediction, landau_refined,
-                         make_context, pair_conjecture, pipeline_D012,
-                         tuple_conjecture)
+from .predictors import (PredictorContext, ap_prediction, asymptotic_S,
+                         hl_pair_prediction, landau_refined, make_context,
+                         pair_conjecture, pipeline_D012, tuple_conjecture)
 from .quadrature import (QuadratureConfig, integral_S, integral_count,
                          integral_ktuple_average)
 from .sieve import count_up_to, enumerate_up_to, is_sum_of_two_squares
@@ -18,11 +17,11 @@ from .tables import reproduce_table
 __version__ = "1.0.0"
 
 __all__ = [
-    "AccuracyError", "ArgumentError", "ConstantsBundle", "PredictionReport",
-    "PredictorContext", "QuadratureConfig", "ResourceError",
-    "TruncatedStreamError", "TwoSquaresError", "__version__", "ap_prediction",
-    "asymptotic_S", "build_bundle", "ck_singular_series", "count_up_to",
-    "enumerate_up_to", "hl_pair_prediction", "integral_S", "integral_count",
+    "AccuracyError", "ArgumentError", "ConstantsBundle", "PredictorContext",
+    "QuadratureConfig", "ResourceError", "TruncatedStreamError",
+    "TwoSquaresError", "__version__", "ap_prediction", "asymptotic_S",
+    "build_bundle", "ck_singular_series", "count_up_to", "enumerate_up_to",
+    "hl_pair_prediction", "integral_S", "integral_count",
     "integral_ktuple_average", "is_sum_of_two_squares", "landau_ramanujan",
     "landau_refined", "make_context", "ms_sum", "pair_conjecture",
     "pipeline_D012", "reproduce_table", "singular_series_general",

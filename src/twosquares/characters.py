@@ -3,7 +3,8 @@
 All evaluators are plain binary64:
   * hurwitz(s, a) - Euler-Maclaurin with Bernoulli tail, valid for real
     s > -13, s != 1; optional analytic d/ds.
-  * dirichlet_L(s, chi) - Hurwitz decomposition L(s,chi) = M^-s sum chi(a) zeta(s, a/M).
+  * dirichlet_L(s, chi) - Hurwitz decomposition L(s,chi) = M^-s sum chi(a) zeta(s, a/M),
+    scalar or array s.
   * L_special(chi) - exact finite sums: L(0,chi) = -(1/M) sum a chi(a) and
     L(1,chi) = -(1/M) sum chi(a) psi(a/M) (digamma), for non-principal chi.
 Characters are value tables over Z/M with exact roots of unity; mod-4q products
@@ -95,10 +96,6 @@ def zeta_real(s: float, regularized: bool = False) -> float:
             return -0.5
         # trivial zeros / negative odd values not needed; fall through to EM
     return hurwitz(s)
-
-
-def zeta_deriv(s: float) -> float:
-    return hurwitz(s, 1.0, derivative=True)[1]
 
 
 def digamma(x: float) -> float:
@@ -222,7 +219,7 @@ def character_table(q: int) -> CharacterTable:
     return CharacterTable(q=q, generator=g, characters=tuple(chars), parities=parities)
 
 
-def _principal_L(s: float, modulus: int) -> complex:
+def _principal_L(s, modulus: int):
     """L-series of the principal character mod `modulus` (imprimitive zeta)."""
     v = zeta_real(s)
     m = modulus
@@ -235,47 +232,29 @@ def _principal_L(s: float, modulus: int) -> complex:
         p += 1
     if m > 1:
         v *= 1 - m ** (-s)
-    return complex(v)
+    return v + 0j
 
 
-def dirichlet_L(s: float, chi: Character, derivative: bool = False):
+def dirichlet_L(s, chi: Character):
     """L(s, chi) (as the Dirichlet series of chi's value table) at real s != 1.
 
-    For principal chi the value is zeta(s) * prod_{p | M}(1 - p^-s); at s = 1
-    that is a pole and an ArgumentError is raised.
+    `s` may be a scalar or a numpy array (elementwise evaluation).  For
+    principal chi the value is zeta(s) * prod_{p | M}(1 - p^-s); at s = 1 that
+    is a pole and an ArgumentError is raised.
     """
     M = chi.modulus
-    if M == 1:
-        if derivative:
-            return complex(zeta_real(s)), complex(zeta_deriv(s))
-        return complex(zeta_real(s))
     if chi.is_principal:
-        if s == 1:
+        if np.any(np.asarray(s) == 1):
             raise ArgumentError("principal character: pole at s = 1")
-        if derivative:
-            raise ArgumentError("derivative of principal L not supported")
         return _principal_L(s, M)
-    if s == 1:
-        if derivative:
-            raise ArgumentError("use dedicated formulas at s = 1")
+    if np.ndim(s) == 0 and s == 1:
         return L_special(chi)[1]
-    Ms = M ** (-s)
-    lnM = log(M)
     v = 0j
-    dv = 0j
     for a in range(1, M):
         c = chi.values[a]
-        if c == 0:
-            continue
-        if derivative:
-            z, dz = hurwitz(s, a / M, derivative=True)
-            v += c * z
-            dv += c * dz
-        else:
+        if c != 0:
             v += c * hurwitz(s, a / M)
-    if derivative:
-        return Ms * v, Ms * (dv - lnM * v)
-    return Ms * v
+    return M ** (-s) * v
 
 
 def L_special(chi: Character):

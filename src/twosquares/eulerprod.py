@@ -1,19 +1,18 @@
-"""Accelerated Euler products and prime sums restricted to p = 3 mod 4.
+"""Euler products and prime sums restricted to p = 3 mod 4, from one engine.
 
-Two engines:
+The engine is log_ep3(w, chi): the log of T_chi(w) = prod_{p=3(4)} (1 - chi(p) p^-w)
+for real w > 1, by the twisted doubling identity
+    T_chi(w)^2 = T_{chi^2}(2w) L(w, chi chi4) / ((1 - chi(2) 2^-w) L(w, chi)),
+which holds prime by prime: (1 - c p^-w)^2 = (1 - c^2 p^-2w) (1 - c p^-w)/(1 + c p^-w).
+Each level halves the weight of the remaining product and doubles its exponent.
+Levels apply while 2^j w < 64; the remainder T_{chi^(2^J)}(2^J w) is the direct
+product over p < 1000, whose omitted primes contribute less than 1000^-63.
+For the trivial chi the identity is T(w)^2 = T(2w) L(w, chi4) / ((1 - 2^-w) zeta(w)).
 
-1. ep3(w): prod_{p=3(4)} (1 - p^-w) for real w > 1 via the zeta/L(chi4)
-   doubling identity
-       T(w)^2 = [L(w,chi4) / (zeta(w)(1-2^-w))] * T(2w),
-   iterated J times, with the level-J remainder evaluated as a short direct
-   product (the exponent 2^J w makes primes beyond ~10^3 irrelevant).
-
-2. character-twisted products/sums via prime zeta functions:
-       P(s, chi) = sum_p chi(p) p^-s = sum_k mu(k)/k * Log L(ks, chi^k),
-   and the restriction to p = 3 mod 4 by pairing chi with chi*chi4:
-       P3(s, chi) = (P(s,chi) - P(s,chi*chi4) - chi(2) 2^-s) / 2.
-   These give log prod_{p=3(4)}(1 - chi(p) p^-s) = -sum_m P3(ms, chi^m)/m
-   with geometric (2^-ms) convergence and no square-root branch choices.
+Everything else is derived from it: ep3(w) = exp(Re log_ep3(w)); the prime sum
+P3(s) = sum_{p=3(4)} p^-s by Moebius inversion of log T(ks); and
+beta1 = 2 sum_{p=3(4)} log p/(p^2 - 1) = 2 d/dw log ep3(w) at w = 2, the same
+level loop differentiated.
 """
 
 from __future__ import annotations
@@ -21,11 +20,13 @@ from __future__ import annotations
 from functools import lru_cache
 from math import log
 
-import cmath
 import numpy as np
 
 from . import characters as chars
-from .errors import AccuracyError, ArgumentError
+from .errors import ArgumentError
+
+TAIL_FROM = 64.0  # the direct product starts at exponent u >= TAIL_FROM
+TAIL_PRIMES = 1000  # ... over the primes p < TAIL_PRIMES
 
 _MOBIUS = {}
 
@@ -65,27 +66,53 @@ def primes_3mod4(n: int) -> np.ndarray:
     return p[p % 4 == 3]
 
 
-def ep3(w, depth_J: int = 6, tail_prime_bound: int = 1000):
-    """prod over p = 3 mod 4 of (1 - p^-w), real w > 1 (scalar or array)."""
+def _n_levels(w, tail_from: float):
+    """Number J of doubling levels: the j >= 0 with 2^j w < tail_from."""
+    return np.maximum(0, np.ceil(np.log2(tail_from / np.asarray(w)))).astype(int)
+
+
+def _log_levels(w, chi: chars.Character, J: int):
+    """log T_chi(w) from J doubling levels and the direct product at exponent 2^J w."""
+    total = 0j
+    u = w
+    for j in range(J):
+        level = (np.log(chars.dirichlet_L(u, chi * chars.CHI4)) - np.log(chars.dirichlet_L(u, chi))
+                 - np.log1p(-chi(2) * 2.0 ** (-u)))
+        total = total + level / 2 ** (j + 1)
+        u, chi = 2 * u, chi.power(2)
+    ps = primes_3mod4(TAIL_PRIMES)
+    c = np.array([chi(int(p)) for p in ps])
+    # |chi(p) p^-u| <= 3^-64 here, so log(1 - z) = -z to within |z|^2
+    with np.errstate(under="ignore"):
+        tail = -(c @ np.power.outer(ps.astype(float), -np.asarray(u)))
+    return total + tail / 2**J
+
+
+def log_ep3(w, chi: chars.Character = chars.TRIVIAL, _tail_from: float = TAIL_FROM):
+    """log prod_{p=3(4)} (1 - chi(p) p^-w) for real w > 1 (scalar or array), complex.
+
+    Branches: each level takes principal logs of L(u, chi) and L(u, chi chi4).
+    The principal log of L(u, chi) is the log of its Euler product whenever
+    zeta(u) < 2 (the Euler log is then below log 2 < pi in modulus); the one
+    twisted caller, C_q_chi, uses w = 2.  For the trivial chi both L-values are
+    positive and the result is real.
+    """
     if np.any(np.asarray(w) <= 1):
         raise ArgumentError("w must be > 1")
-    if depth_J < 1:
-        raise ArgumentError("depth_J >= 1 required")
-    arraylike = np.ndim(w) > 0
-    acc = 1.0
-    for j in range(depth_J):
-        u = (2**j) * w
-        zeta = chars.zeta_real(u) if not arraylike else chars.hurwitz(u)
-        ratio = dirichlet_chi4(u) / (zeta * (1 - 2.0 ** (-u)))
-        acc = acc * ratio ** (1.0 / 2 ** (j + 1))
-    u = np.minimum((2**depth_J) * w, 700.0)
-    ps = primes_3mod4(tail_prime_bound).astype(float)
-    with np.errstate(under="ignore"):
-        if arraylike:
-            tail = np.exp(np.sum(np.log1p(-ps[:, None] ** (-u[None, :])), axis=0))
-        else:
-            tail = float(np.prod(1 - ps ** (-u)))
-    return acc * tail ** (1.0 / 2**depth_J)
+    if np.ndim(w) == 0:
+        return complex(_log_levels(float(w), chi, int(_n_levels(w, _tail_from))))
+    w = np.asarray(w, dtype=float)
+    J = _n_levels(w, _tail_from)
+    out = np.empty(w.shape, dtype=complex)
+    for j in np.unique(J):
+        out[J == j] = _log_levels(w[J == j], chi, int(j))
+    return out
+
+
+def ep3(w):
+    """prod over p = 3 mod 4 of (1 - p^-w), real w > 1 (scalar or array)."""
+    v = np.exp(np.real(log_ep3(w)))
+    return float(v) if np.ndim(w) == 0 else v
 
 
 def dirichlet_chi4(s) -> float:
@@ -98,118 +125,36 @@ def dirichlet_chi4(s) -> float:
     return 4.0 ** (-s) * (chars.hurwitz(s, 0.25) - chars.hurwitz(s, 0.75))
 
 
-# ---------------------------------------------------------------------------
-# prime zeta machinery (complex, character-twisted)
-
-def _char_key(chi: chars.Character):
-    return (chi.modulus, tuple(round(v.real, 12) + 1j * round(v.imag, 12) for v in chi.values))
-
-
-class _LCache:
-    def __init__(self):
-        self._vals = {}
-
-    def L(self, s: float, chi: chars.Character) -> complex:
-        key = (round(s, 12), _char_key(chi))
-        if key not in self._vals:
-            self._vals[key] = complex(chars.dirichlet_L(s, chi))
-        return self._vals[key]
-
-
-def prime_zeta_char(s: float, chi: chars.Character, cache: _LCache | None = None,
-                    tol: float = 1e-17) -> complex:
-    """P(s, chi) = sum_p chi(p) p^-s for real s > 1.5 or so."""
-    cache = cache or _LCache()
-    total = 0j
-    k = 1
-    while 2.0 ** (-k * s) > tol or k <= 2:
-        mu = mobius(k)
-        if mu:
-            L = cache.L(k * s, chi.power(k))
-            total += mu / k * cmath.log(L)
-        k += 1
-        if k > 80:
-            break
-    return total
-
-
-def prime_zeta_3mod4_char(s: float, chi: chars.Character,
-                          cache: _LCache | None = None) -> complex:
-    """P3(s, chi) = sum over p = 3 mod 4 of chi(p) p^-s."""
-    cache = cache or _LCache()
-    a = prime_zeta_char(s, chi, cache)
-    b = prime_zeta_char(s, chi * chars.CHI4, cache)
-    return (a - b - chi(2) * 2.0 ** (-s)) / 2
-
-
+@lru_cache(maxsize=None)
 def prime_zeta_3mod4(s: float) -> float:
-    """sum over p = 3 mod 4 of p^-s (trivial coefficients)."""
-    return prime_zeta_3mod4_char(s, chars.TRIVIAL).real
-
-
-def log_ep3_char(chi: chars.Character, s: float = 2.0) -> complex:
-    """log prod_{p = 3 mod 4} (1 - chi(p) p^-s), via prime zeta sums."""
-    cache = _LCache()
-    total = 0j
-    m = 1
-    while 3.0 ** (-m * s) > 1e-18:
-        total -= prime_zeta_3mod4_char(m * s, chi.power(m), cache) / m
-        m += 1
-        if m > 60:
-            break
-    return total
-
-
-def ep3_char_inv_sqrt(chi: chars.Character, s: float = 2.0) -> complex:
-    """prod_{p = 3 mod 4} (1 - chi(p) p^-s)^(-1/2), branch-free via exp/log."""
-    return cmath.exp(-0.5 * log_ep3_char(chi, s))
-
-
-# ---------------------------------------------------------------------------
-# beta1 = 2 sum_{p = 3 mod 4} log p / (p^2 - 1), accelerated
-
-def _vonmangoldt_ratio(s: float) -> float:
-    """R(s) = sum over p = 3 mod 4, m odd of log p * p^-ms."""
-    z, dz = chars.hurwitz(s, 1.0, derivative=True)
-    L = dirichlet_chi4(s)
-    dL = 4.0 ** (-s) * (
-        chars.hurwitz(s, 0.25, derivative=True)[1]
-        - chars.hurwitz(s, 0.75, derivative=True)[1]
-    ) - log(4.0) * L
-    return (-dz / z + dL / L - log(2.0) / (2.0**s - 1)) / 2
-
-
-def _logp_zeta_3mod4(s: float) -> float:
-    """Q3(s) = sum over p = 3 mod 4 of log p * p^-s (odd-k Moebius inversion)."""
+    """P3(s) = sum over p = 3 mod 4 of p^-s = -sum_k mu(k)/k Re log_ep3(ks)."""
     total = 0.0
     k = 1
-    while 3.0 ** (-k * s) * 2 > 1e-18 or k <= 3:
-        if k % 2 == 1 and mobius(k):
-            total += mobius(k) * _vonmangoldt_ratio(k * s)
+    while 3.0 ** (-k * s) > 1e-20:
+        if mobius(k):
+            total -= mobius(k) / k * log_ep3(k * s).real
         k += 1
-        if k > 61:
-            break
     return total
 
 
 def beta1() -> float:
-    """2 sum_{p = 3 mod 4} log p / (p^2 - 1) to ~1e-14."""
+    """beta1 = 2 sum_{p=3(4)} log p/(p^2 - 1) = 2 d/dw log ep3(w) at w = 2.
+
+    Level j of log_ep3 contributes log(L(u,chi4) / (zeta(u)(1 - 2^-u))) / 2^(j+1)
+    with u = 2^j w, so its w-derivative is (L'/L(u,chi4) - zeta'/zeta(u)
+    - log 2/(2^u - 1)) / 2; the direct product adds sum_p log p/(p^u - 1).
+    """
     total = 0.0
-    n = 1
-    while True:
-        term = _logp_zeta_3mod4(2.0 * n)
-        total += term
-        if n > 2 and term < 1e-18:
-            break
-        n += 1
-        if n > 40:
-            break
+    u = 2.0
+    for _ in range(int(_n_levels(u, TAIL_FROM))):
+        z, dz = chars.hurwitz(u, 1.0, derivative=True)
+        L = dirichlet_chi4(u)
+        dL = 4.0 ** (-u) * (
+            chars.hurwitz(u, 0.25, derivative=True)[1]
+            - chars.hurwitz(u, 0.75, derivative=True)[1]
+        ) - log(4.0) * L
+        total += (dL / L - dz / z - log(2.0) / (2.0**u - 1)) / 2
+        u *= 2
+    ps = primes_3mod4(TAIL_PRIMES).astype(float)
+    total += float(np.sum(np.log(ps) / (ps**u - 1)))
     return 2 * total
-
-
-def beta1_direct(prime_bound: int = 10**6):
-    """Truncated direct sum plus a tail bound: (value, tail_bound). Test oracle."""
-    ps = primes_3mod4(prime_bound).astype(float)
-    val = float(2 * np.sum(np.log(ps) / (ps * ps - 1)))
-    tail = 2 * (log(prime_bound) + 1) / prime_bound
-    return val, tail

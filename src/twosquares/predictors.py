@@ -25,7 +25,7 @@ so H = sqrt(log x)/K - 1/2 + O(1/sqrt(log x)).  The main objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log, pi, sqrt
 
@@ -65,23 +65,6 @@ def make_context(x: float, q: int = 5) -> PredictorContext:
     if not abs(H - (sqrt(log(x)) / bundle.K - 0.5)) < 1 / sqrt(log(x)):
         raise AccuracyError(f"H(x) = {H} departs from sqrt(log x)/K - 1/2 at x = {x}")
     return ctx
-
-
-@dataclass(frozen=True)
-class PredictionReport:
-    """One table cell: an optional actual count against named predictions."""
-
-    cell: str
-    predictions: dict
-    actual: int | None = None
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def pct_errors(self) -> dict:
-        if self.actual is None:
-            return {}
-        return {name: self.actual / value
-                for name, value in self.predictions.items() if value}
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +240,3 @@ def tuple_conjecture(x: float, q: int, a_vec) -> float:
     lead = x / q**r * ctx.constants.K / sqrt(lx)
     return lead * (1 + c_m1 * sqrt(llx / lx) + c_0 / sqrt(lx)
                    + c_1 / sqrt(llx * lx))
-
-
-# ---------------------------------------------------------------------------
-# table-shaped reports
-
-def pair_report(x: float, q: int = 5, rel_tol: float = 1e-9):
-    """One PredictionReport per residue difference v, Table-5 shaped."""
-    ctx = make_context(x, q)
-    reports = []
-    for v in range(q):
-        preds = {
-            "pipeline_S0": pipeline_D012(x, q, 0, v, "numeric", rel_tol),
-            "pipeline_thm": pipeline_D012(x, q, 0, v, "asymptotic_J1"),
-            "conjecture_J1": pair_conjecture(x, q, 0, v),
-        }
-        reports.append(PredictionReport(
-            cell=f"v={v}", predictions=preds,
-            meta={"x": x, "q": q, "H": ctx.H, "logH": ctx.logH}))
-    return reports

@@ -221,6 +221,7 @@ def _closed_ratio(p: int, k: int) -> Fraction:
     return (1 + Fraction(1, p)) ** (k - 1) * (1 - Fraction(k - 1, p))
 
 
+@lru_cache(maxsize=None)
 def _tail_log(cutoff: int, k: int, terms: int = 60) -> float:
     """log prod_{p>cutoff, p=3(4)} (1+1/p)^(k-1) (1-(k-1)/p) via prime zetas.
 
@@ -253,8 +254,15 @@ def _tail_log(cutoff: int, k: int, terms: int = 60) -> float:
 
 
 def singular_series_general(D: TupleConfig, prime_cutoff: int = 50) -> SingularValue:
-    """S(D) = prod_{p != 1 (4)} delta_D(p)/delta_0(p)^k, stabilized + tail."""
-    D = D.normalized()
+    """S(D) = prod_{p != 1 (4)} delta_D(p)/delta_0(p)^k, stabilized + tail.
+
+    S is translation invariant, so values are memoized by the normalized offsets.
+    """
+    return _singular_series(D.normalized(), prime_cutoff)
+
+
+@lru_cache(maxsize=None)
+def _singular_series(D: TupleConfig, prime_cutoff: int) -> SingularValue:
     k = D.k
     if k == 0 or k == 1:
         return SingularValue(1.0, "local_density_product", prime_cutoff, 0.0)

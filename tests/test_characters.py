@@ -122,6 +122,18 @@ def test_conjugate_symmetry(q):
             assert abs(a - b) < 1e-12
 
 
+def test_dirichlet_L_array_matches_scalar():
+    s = np.array([0.75, 2.0, 3.5])
+    tab = chars.character_table(13)
+    for chi in (chars.TRIVIAL, tab.principal, tab.characters[1], tab.characters[1] * chars.CHI4):
+        vec = chars.dirichlet_L(s, chi)
+        assert vec.shape == s.shape
+        for si, vi in zip(s, vec):
+            assert vi == pytest.approx(chars.dirichlet_L(float(si), chi), rel=1e-14)
+    with pytest.raises(ArgumentError):
+        chars.dirichlet_L(np.array([2.0, 1.0]), tab.principal)
+
+
 def test_mod4q_product_characters():
     tab = chars.character_table(5)
     chi = tab.characters[1]

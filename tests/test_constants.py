@@ -8,13 +8,34 @@ import pytest
 import mp_oracles as oracles
 from twosquares import constants, refdata
 from twosquares import characters as chars
-from twosquares.errors import ArgumentError
+from twosquares import eulerprod as ep
+from twosquares.errors import AccuracyError, ArgumentError
 
 mp.mp.dps = 30
 
 
 def test_landau_ramanujan_value():
     assert abs(constants.landau_ramanujan() - 0.7642236535892207) < 1e-12
+
+
+@pytest.mark.parametrize("skew,raises", [(1e-9, True), (1e-11, False)])
+def test_landau_ramanujan_certificate(monkeypatch, skew, raises):
+    # shift the evaluation whose direct product starts one level later
+    log_ep3 = ep.log_ep3
+
+    def skewed(w, chi=chars.TRIVIAL, _tail_from=ep.TAIL_FROM):
+        return log_ep3(w, chi, _tail_from) + (skew if _tail_from != ep.TAIL_FROM else 0.0)
+
+    monkeypatch.setattr(ep, "log_ep3", skewed)
+    constants.landau_ramanujan.cache_clear()
+    try:
+        if raises:
+            with pytest.raises(AccuracyError):
+                constants.landau_ramanujan()
+        else:
+            assert constants.landau_ramanujan() == pytest.approx(0.7642236535892207, abs=1e-11)
+    finally:
+        constants.landau_ramanujan.cache_clear()
 
 
 def test_landau_ramanujan_against_mpmath_product():

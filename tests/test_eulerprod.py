@@ -1,5 +1,8 @@
 """Euler products and prime sums against brute-force and mpmath oracles."""
 
+import cmath
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -40,10 +43,28 @@ def test_primes_lists():
 @pytest.mark.parametrize("w,tol", [(1.5, 4e-4), (2.0, 1e-8), (3.0, 1e-12),
                                    (6.0, 1e-14)])
 def test_ep3_matches_brute_product(w, tol):
-    want = mp.mpf(1)
-    for p in ep.primes_3mod4(10**7):
-        want *= 1 - mp.mpf(int(p)) ** -mp.mpf(w)
-    assert ep.ep3(w) == pytest.approx(float(want), abs=tol)
+    ps = ep.primes_3mod4(10**7).astype(float)
+    want = math.exp(math.fsum(np.log1p(-ps ** -w)))
+    assert ep.ep3(w) == pytest.approx(want, abs=tol)
+
+
+def _log1p(z):
+    """log(1 + z) for complex arrays, accurate for tiny |z| (numpy's complex log1p is not)."""
+    return 0.5 * np.log1p(2 * z.real + np.abs(z) ** 2) + 1j * np.arctan2(z.imag, 1 + z.real)
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_log_ep3_twisted_matches_direct_sum(q):
+    # the primes above 1e7 contribute below 1e-15 at w >= 3
+    ps = ep.primes_3mod4(10**7)
+    ws = np.array([3.0, 6.0])
+    powers, residues = ps.astype(float) ** -ws[:, None], ps % q
+    for i, chi in enumerate(chars.character_table(q).non_principal()):
+        want = _log1p(-np.array(chi.values)[residues] * powers).sum(axis=1)
+        for w, v in zip(ws, want):
+            assert abs(ep.log_ep3(float(w), chi) - v) < 1e-12
+        if i == 0:  # the array path once per modulus: per value it costs ~10x the scalar path
+            assert np.all(np.abs(ep.log_ep3(ws, chi) - want) < 1e-12)
 
 
 def test_ep3_vectorized():
@@ -67,16 +88,24 @@ def test_prime_zeta_3mod4_matches_direct_sum():
         assert ep.prime_zeta_3mod4(s) == pytest.approx(direct, abs=1e-7)
 
 
+def beta1_direct(prime_bound: int = 10**6):
+    """Truncated direct sum of beta1 plus a tail bound: (value, tail_bound)."""
+    ps = ep.primes_3mod4(prime_bound).astype(float)
+    val = float(2 * np.sum(np.log(ps) / (ps * ps - 1)))
+    tail = 2 * (math.log(prime_bound) + 1) / prime_bound
+    return val, tail
+
+
 def test_beta1_acceleration_agrees_with_direct():
     # beta1 = 2 sum_{p=3(4)} log p/(p^2-1); direct partial sum plus tail bound
-    direct, bound = ep.beta1_direct(10**6)
+    direct, bound = beta1_direct(10**6)
     assert abs(ep.beta1() - direct) <= bound + 1e-10
 
 
 def test_log_ep3_char_principal_reduces_to_real():
     tab = chars.character_table(5)
     chi0sq = tab.principal
-    v = ep.log_ep3_char(chi0sq, 2.0)
+    v = ep.log_ep3(2.0, chi0sq)
     # principal chi: product over p=3(4), p != 5 of (1-p^-2): log ep3 + log(1-5^-2)...
     # 5 = 1 mod 4 is not in the product, so this is exactly log ep3(2)
     assert v.imag == pytest.approx(0.0, abs=1e-12)
@@ -86,8 +115,8 @@ def test_log_ep3_char_principal_reduces_to_real():
 def test_ep3_char_inv_sqrt_conjugation():
     tab = chars.character_table(5)
     for chi in tab.non_principal():
-        a = ep.ep3_char_inv_sqrt(chi.power(2), 2.0)
-        b = ep.ep3_char_inv_sqrt(chi.conj().power(2), 2.0)
+        a = cmath.exp(-0.5 * ep.log_ep3(2.0, chi.power(2)))
+        b = cmath.exp(-0.5 * ep.log_ep3(2.0, chi.conj().power(2)))
         assert a == pytest.approx(b.conjugate(), abs=1e-10)
 
 

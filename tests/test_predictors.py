@@ -152,16 +152,6 @@ def test_pipeline_sources_agree_roughly():
         predictors.pipeline_D012(1e12, 5, 0, 1, "bogus")
 
 
-def test_pair_report_shapes():
-    reports = predictors.pair_report(1e12, 5)
-    assert len(reports) == 5
-    for r in reports:
-        assert set(r.predictions) == {"pipeline_S0", "pipeline_thm",
-                                      "conjecture_J1"}
-        assert r.meta["H"] == pytest.approx(6.3651638, abs=1e-6)
-        assert r.pct_errors == {}
-
-
 def test_argument_errors():
     with pytest.raises(ArgumentError):
         predictors.make_context(10)
