@@ -8,7 +8,9 @@ the script stops at the first table that fails.
 
 By default the heavy 10^12 sieve cells are served from recorded reference
 values (labeled "reference" in the output); pass --allow-long-run to recompute
-everything, which takes hours and tens of GB of cache.
+everything, which takes hours and tens of GB of cache.  --allow-long-run,
+--threads and --cache-dir reach only the tables that take them
+(twosquares.tables.TABLE_OPTIONS).
 
 Examples:
     python3 scripts/reproduce_tables.py              # tables 2..7 at default scale
@@ -22,7 +24,7 @@ import argparse
 import sys
 import time
 
-from twosquares import cli
+from twosquares import cli, tables
 
 
 def main(argv=None) -> int:
@@ -34,12 +36,15 @@ def main(argv=None) -> int:
     ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args(argv)
 
-    opts = ["--format", "md", "--threads", str(args.threads)]
-    if args.allow_long_run:
-        opts.append("--allow-long-run")
-    if args.cache_dir:
-        opts += ["--cache-dir", args.cache_dir]
     for tid in args.tables:
+        takes = tables.TABLE_OPTIONS.get(tid, ())
+        opts = ["--format", "md"]
+        if "threads" in takes:
+            opts += ["--threads", str(args.threads)]
+        if args.allow_long_run and "allow_long_run" in takes:
+            opts.append("--allow-long-run")
+        if args.cache_dir and "cache_dir" in takes:
+            opts += ["--cache-dir", args.cache_dir]
         print(f"\n## Table {tid}\n", flush=True)
         t0 = time.perf_counter()
         code = cli.run(["table", "--id", str(tid), *opts])

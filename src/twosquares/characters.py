@@ -37,12 +37,19 @@ _EM_M = 10  # Bernoulli terms
 def hurwitz(s, a: float = 1.0, derivative: bool = False):
     """Hurwitz zeta(s, a) for real s != 1, a > 0; optionally (value, d/ds value).
 
-    `s` may be a scalar or a numpy array (elementwise evaluation).
+    `s` may be a scalar or a numpy array (elementwise evaluation).  A scalar s
+    (float, np.float64 or 0-d array) is computed once per process: it goes
+    through a bounded memo keyed on (float(s), a, derivative).
     """
     if a <= 0:
         raise ArgumentError("a must be > 0")
-    if np.ndim(s) > 0:
-        s = np.asarray(s, dtype=float)
+    if np.ndim(s) == 0:
+        return _hurwitz_scalar(float(s), float(a), derivative)
+    return _euler_maclaurin(np.asarray(s, dtype=float), a, derivative)
+
+
+def _euler_maclaurin(s, a: float, derivative: bool):
+    """zeta(s, a) (and d/ds) from _EM_N direct terms and _EM_M Bernoulli terms."""
     if np.any(s == 1):
         raise ArgumentError("pole at s = 1")
     if np.any(s <= 1 - 2 * _EM_M):
@@ -81,6 +88,10 @@ def hurwitz(s, a: float = 1.0, derivative: bool = False):
         if derivative:
             dv += c * wp * (dpoch - poch * lw)
     return (v, dv) if derivative else v
+
+
+# a memo hit skips the validity checks too; an exception is never cached
+_hurwitz_scalar = lru_cache(maxsize=8192)(_euler_maclaurin)
 
 
 def zeta_real(s: float, regularized: bool = False) -> float:

@@ -284,9 +284,11 @@ def integral_ktuple_cmd(k, bigh, eps, nodes):
 @click.option("--format", "fmt", type=_FORMATS, default="md")
 def table_cmd(table_id, x, bigh, allow_long_run, threads, cache_dir, fmt):
     """Reproduce one of the seven reference tables."""
+    if "cache_dir" in tables.TABLE_OPTIONS.get(table_id, ()):
+        cache_dir = _cache_dir(cache_dir)  # $TWO_SQUARES_CACHE only where it is used
     header, rows, meta = tables.reproduce_table(
         table_id, x=None if x is None else _x_int(x), H=bigh,
-        allow_long_run=allow_long_run, threads=threads, cache_dir=_cache_dir(cache_dir))
+        allow_long_run=allow_long_run, threads=threads, cache_dir=cache_dir)
     _emit(header, rows, {**_meta(table=table_id), **meta}, fmt)
 
 

@@ -190,6 +190,13 @@ def _derivative_richardson(f, order: int, h0: float, levels: int, tol: float):
     return best
 
 
+@lru_cache(maxsize=8)
+def _p_taylor(j_max: int) -> tuple:
+    """Taylor coefficients p_0..p_{j_max} of P(s) at 0; they do not depend on q."""
+    return tuple(_derivative_richardson(_P_of_s, d, 0.06, 4, 1e-6) / gamma_fn(d + 1)
+                 for d in range(j_max + 1))
+
+
 @lru_cache(maxsize=None)
 def higher_coeffs_numeric(j_max: int = 3, q: int = 5):
     """map j -> (c(j), c0(j), c1(j)) for 1 <= j <= j_max, via the Taylor oracle."""
@@ -197,11 +204,7 @@ def higher_coeffs_numeric(j_max: int = 3, q: int = 5):
         raise ArgumentError("j_max <= 4")
     chars.check_modulus(q)
     K = landau_ramanujan()
-    # Taylor coefficients p_j of P(s) at 0
-    pcoef = [
-        _derivative_richardson(_P_of_s, d, 0.06, 4, 1e-6) / gamma_fn(d + 1)
-        for d in range(j_max + 1)
-    ]
+    pcoef = _p_taylor(j_max)
     # multiply by (1 - q^-s)/s = sum_n (-1)^n log(q)^{n+1}/(n+1)! * s^n
     lq = log(q)
     gcoef = [(-1) ** n * lq ** (n + 1) / gamma_fn(n + 2) for n in range(j_max + 1)]

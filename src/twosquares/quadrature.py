@@ -30,10 +30,8 @@ visibly on eps, which is always reported alongside the value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import log, pi, sqrt
-
-from scipy.special import gamma as gamma_vec
+from functools import lru_cache, wraps
+from math import gamma, log, pi, sqrt
 
 import numpy as np
 
@@ -66,6 +64,34 @@ class QuadratureConfig:
 # ---------------------------------------------------------------------------
 # special functions on the real interval (1/2, 1]
 
+_gamma = np.vectorize(gamma, otypes=[float])  # node arrays hold a few hundred points
+
+
+def _node_memo(fn):
+    """fn memoized on the node array it is given; scalars pass straight through.
+
+    The factors below do not depend on x, H or q, so every integral (and every
+    Richardson shift of F') on the same nodes shares one evaluation.  Keyed on
+    the array's bytes and shape; the cached arrays are read-only.
+    """
+    @lru_cache(maxsize=256)
+    def cached(buf: bytes, shape: tuple):
+        out = fn(np.frombuffer(buf).reshape(shape))
+        out.flags.writeable = False
+        return out
+
+    @wraps(fn)
+    def memo(s):
+        if np.ndim(s) == 0:
+            return fn(s)
+        s = np.asarray(s, dtype=float)
+        return cached(s.tobytes(), s.shape)
+
+    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+    return memo
+
+
+@_node_memo
 def G_fn(s):
     """(zeta(s)(s-1))^{1/2} L(s,chi4)^{1/2} (1-2^-s)^{-1/2} prod(1-p^-2s)^{-1/2}.
 
@@ -78,6 +104,7 @@ def G_fn(s):
     return np.sqrt(rad)
 
 
+@_node_memo
 def _core(s):
     """zeta(s-1) M(s-1) [(s-1) zeta(s)]^{1/2}, shared by both F variants."""
     reg = chars.zeta_real(s, regularized=True)  # = (s-1) zeta(s)
@@ -88,7 +115,7 @@ def _core(s):
 
 def F_gamma(s):
     """F(s) with the Gamma(s) normalization (weighted-sum integrals)."""
-    return _core(s) * gamma_vec(s)
+    return _core(s) * _gamma(s)
 
 
 def F_inv(s):

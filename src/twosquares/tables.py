@@ -177,24 +177,39 @@ def table7(q: int = 5, Hs=None, allow_long_run: bool = False):
     return _table_s(3, q, Hs, allow_long_run)
 
 
+# the options each table takes; giving any other is an ArgumentError
+TABLE_OPTIONS = {
+    1: ("x", "allow_long_run", "threads", "cache_dir"),
+    2: ("x", "allow_long_run", "threads", "cache_dir"),
+    3: ("x",),
+    4: ("x",),
+    5: ("x",),
+    6: ("H", "allow_long_run"),
+    7: ("H", "allow_long_run"),
+}
+_UNSET = {"x": None, "H": None, "allow_long_run": False, "threads": 1, "cache_dir": None}
+
+
 def reproduce_table(table_id: int, x: float | None = None, H: float | None = None,
                     allow_long_run: bool = False, threads: int = 1, cache_dir=None):
     """Build table `table_id` (1..7) at the default scale or at one x or one H.
 
     x sets the scale of tables 1 and 3-5 and the one row of table 2; H the one
-    row of tables 6 and 7.  An x or H that the table does not take is an
-    ArgumentError.  threads and cache_dir reach the sieve (tables 1 and 2),
-    allow_long_run the scale guards (tables 1, 2, 6 and 7).
+    row of tables 6 and 7.  threads and cache_dir reach the sieve (tables 1
+    and 2), allow_long_run the scale guards (tables 1, 2, 6 and 7).  An option
+    the table does not take (TABLE_OPTIONS) is an ArgumentError.
     """
-    if table_id not in range(1, 8):
+    if table_id not in TABLE_OPTIONS:
         raise ArgumentError("table id must be 1..7")
+    given = {"x": x, "H": H, "allow_long_run": allow_long_run, "threads": threads,
+             "cache_dir": cache_dir}
+    ignored = [k for k, v in given.items()
+               if v != _UNSET[k] and k not in TABLE_OPTIONS[table_id]]
+    if ignored:
+        raise ArgumentError(f"table {table_id} does not take {', '.join(ignored)}")
     if table_id in (6, 7):
-        if x is not None:
-            raise ArgumentError(f"table {table_id} takes H, not x")
         return (table6, table7)[table_id - 6](Hs=None if H is None else [H],
                                              allow_long_run=allow_long_run)
-    if H is not None:
-        raise ArgumentError(f"table {table_id} takes x, not H")
     if table_id in (3, 4, 5):
         return (table3, table4, table5)[table_id - 3](REFERENCE_X if x is None else x)
     sieve_kw = {"allow_long_run": allow_long_run, "threads": threads, "cache_dir": cache_dir}

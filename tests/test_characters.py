@@ -53,6 +53,14 @@ def test_hurwitz_vectorized_matches_scalar():
         assert vi == chars.hurwitz(float(si))
 
 
+def test_hurwitz_scalar_types_share_the_memo():
+    # np.float64 and 0-d arrays are scalars: same value (and same memo entry) as a float
+    want = chars.hurwitz(2.5)
+    assert chars.hurwitz(np.float64(2.5)) == want
+    assert chars.hurwitz(np.array(2.5)) == want
+    assert chars.hurwitz(np.array(2.5), 0.25, derivative=True) == chars.hurwitz(2.5, 0.25, True)
+
+
 def test_hurwitz_derivative():
     v, dv = chars.hurwitz(0.75, 0.3, derivative=True)
     assert abs(v - float(mp.zeta(0.75, 0.3))) < 1e-10

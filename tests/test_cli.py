@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -112,6 +114,14 @@ def test_exit_code_2_on_bad_arguments(run):
     assert run("table", "--id", "9")[0] == 2
     assert run("table", "--id", "3", "--h", "100")[0] == 2    # table 3 takes no H
     assert run("table", "--id", "6", "--x", "1e9")[0] == 2    # table 6 takes no x
+    # options a table would ignore: threads and cache_dir reach only the sieve
+    # tables 1 and 2, allow_long_run only tables 1, 2, 6 and 7
+    assert run("table", "--id", "3", "--threads", "2")[0] == 2
+    assert run("table", "--id", "6", "--threads", "2")[0] == 2
+    assert run("table", "--id", "3", "--allow-long-run")[0] == 2
+    assert run("table", "--id", "5", "--allow-long-run")[0] == 2
+    assert run("table", "--id", "4", "--cache-dir", "unused")[0] == 2
+    assert run("table", "--id", "7", "--cache-dir", "unused")[0] == 2
     assert run("integral-S", "--v", "0", "--h", "100", "--eps", "0.001")[0] == 2
 
 
@@ -125,6 +135,21 @@ def test_cache_env_var(run, tmp_path, monkeypatch):
     code, _ = run("sieve-count", "--x", "1e6")
     assert code == 0
     assert list(tmp_path.iterdir())
+    # unlike an explicit --cache-dir, the variable is no error where it is unused
+    assert run("table", "--id", "3", "--format", "csv")[0] == 0
+
+
+def test_import_loads_no_scipy_or_mpmath():
+    # the package needs only numpy and click at run time; scipy alone took
+    # about half of the import time
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, twosquares; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_reproduce_tables_script(run, capsys):
@@ -139,3 +164,8 @@ def test_reproduce_tables_script(run, capsys):
     m = re.fullmatch(r"\n## Table 3\n\n(.*)\n\(\d+\.\ds\)\n", out, re.S)
     assert m and m.group(1) == table
     assert script.main(["--tables", "8"]) == 2
+    # --threads reaches only the tables that sieve, so tables 3 and 6 accept it
+    capsys.readouterr()
+    assert script.main(["--threads", "2", "--tables", "3", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "## Table 3" in out and "## Table 6" in out

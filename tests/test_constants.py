@@ -92,6 +92,15 @@ def test_oracle_matches_closed_form_at_j1():
     assert hi[1][2] == pytest.approx(c1_1, abs=1e-8)
 
 
+def test_p_taylor_shared_by_every_q():
+    # the Taylor coefficients of P(s) do not depend on q: one evaluation serves all moduli
+    constants.higher_coeffs_numeric.cache_clear()
+    constants._p_taylor.cache_clear()
+    constants.higher_coeffs_numeric(3, 5)
+    constants.higher_coeffs_numeric(3, 13)
+    assert constants._p_taylor.cache_info().misses == 1
+
+
 def test_taylor_coeffs_circle_oracle():
     """c(j), c0(j), c1(j) for j <= 3 by a Cauchy-integral Taylor oracle in mpmath.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mp_oracles as oracles
-from twosquares import constants, quadrature, singular
+from twosquares import characters as chars, constants, quadrature, singular
 from twosquares.quadrature import QuadratureConfig
 from twosquares.errors import AccuracyError, ArgumentError
 
@@ -29,6 +29,27 @@ def test_config_validation():
 def test_G_positive_on_range():
     sig = np.linspace(0.5 + 1e-9, 1.0 - 1e-9, 200)
     assert np.all(quadrature.G_fn(sig) > 0)
+
+
+def test_node_memo_arrays_are_read_only():
+    sig, _ = quadrature._panel_nodes(0.02, 8)
+    for fn in (quadrature._core, quadrature.G_fn):
+        out = fn(sig)
+        assert np.array_equal(out, fn.__wrapped__(sig))  # the unmemoized evaluation
+        assert not out.flags.writeable
+        assert fn(sig.copy()) is out  # keyed on the values, not the array object
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+
+
+def test_memos_are_exact():
+    # every memo returns what a fresh evaluation returns, bit for bit
+    quadrature.integral_S(5, 0, 100)
+    before = quadrature.integral_S(5, 0, 100)  # served from the filled memos
+    for memo in (quadrature._core, quadrature.G_fn, chars._hurwitz_scalar,
+                 constants._p_taylor):
+        memo.cache_clear()
+    assert quadrature.integral_S(5, 0, 100) == before
 
 
 def test_A_q_removable_singularity():
