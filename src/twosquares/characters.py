@@ -1,10 +1,13 @@
-"""Dirichlet characters mod a prime q = 1 (mod 4) (and mod 4q) and real-axis zeta/L values.
+"""Dirichlet characters mod a prime q = 1 (mod 4) (and mod 4q) and zeta/L values.
 
-All evaluators are plain binary64:
-  * hurwitz(s, a) - Euler-Maclaurin with Bernoulli tail, valid for real
-    s > -13, s != 1; optional analytic d/ds.
-  * dirichlet_L(s, chi) - Hurwitz decomposition L(s,chi) = M^-s sum chi(a) zeta(s, a/M),
-    scalar or array s.
+The evaluators are plain binary64 and take real or complex s (scalar or
+array), so every derivative in the package is a complex step of them
+(complex_step):
+  * hurwitz(s, a) - Euler-Maclaurin with Bernoulli tail, valid for
+    Re s > -13, s != 1; hurwitz_regular(s, a) is the same sum without its
+    pole term, and pole_difference combines two pole terms without
+    cancellation, so (s-1) zeta(s) and L(s, chi4) stay accurate next to s = 1.
+  * dirichlet_L(s, chi) - Hurwitz decomposition L(s,chi) = M^-s sum chi(a) zeta(s, a/M).
   * L_special(chi) - exact finite sums: L(0,chi) = -(1/M) sum a chi(a) and
     L(1,chi) = -(1/M) sum chi(a) psi(a/M) (digamma), for non-principal chi.
 Characters are value tables over Z/M with exact roots of unity; mod-4q products
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor, log, pi
+from math import log, pi
 
 import cmath
 import numpy as np
@@ -32,80 +35,100 @@ _BERNOULLI = [
 ]
 _EM_N = 18  # direct terms before the Euler-Maclaurin tail
 _EM_M = 10  # Bernoulli terms
+COMPLEX_STEP = 1e-30  # Im f(x + ih)/h = f'(x) + O(h^2): no difference, nothing cancels
 
 
-def hurwitz(s, a: float = 1.0, derivative: bool = False):
-    """Hurwitz zeta(s, a) for real s != 1, a > 0; optionally (value, d/ds value).
+def complex_step(f, s):
+    """f'(s) at real s (scalar or array) for f real on the real axis and analytic near it."""
+    return np.imag(f(s + 1j * COMPLEX_STEP)) / COMPLEX_STEP
+
+
+def hurwitz(s, a: float = 1.0):
+    """Hurwitz zeta(s, a) for s != 1 with Re s > -13, a > 0; real or complex s.
 
     `s` may be a scalar or a numpy array (elementwise evaluation).  A scalar s
-    (float, np.float64 or 0-d array) is computed once per process: it goes
-    through a bounded memo keyed on (float(s), a, derivative).
+    (float, complex, np.float64 or 0-d array) is computed once per process: it
+    goes through a bounded memo keyed on (s, a) and the type of s.
     """
     if a <= 0:
         raise ArgumentError("a must be > 0")
-    if np.ndim(s) == 0:
-        return _hurwitz_scalar(float(s), float(a), derivative)
-    return _euler_maclaurin(np.asarray(s, dtype=float), a, derivative)
+    s = as_argument(s)
+    return (_hurwitz_scalar if np.ndim(s) == 0 else _euler_maclaurin)(s, float(a))
 
 
-def _euler_maclaurin(s, a: float, derivative: bool):
-    """zeta(s, a) (and d/ds) from _EM_N direct terms and _EM_M Bernoulli terms."""
-    if np.any(s == 1):
+def as_argument(s):
+    """s as a Python float or complex (0-d) or a float64 or complex128 array, by its dtype."""
+    s = np.asarray(s)
+    s = s.astype(np.result_type(s, float), copy=False)
+    return s.item() if s.ndim == 0 else s
+
+
+def _euler_maclaurin(s, a: float, pole: bool = True):
+    """zeta(s, a) from _EM_N direct terms and _EM_M Bernoulli terms.
+
+    With pole=False the term w^(1-s)/(s-1), w = _EM_N + a, is left out: what
+    remains is analytic at s = 1 (see hurwitz_regular).
+    """
+    if pole and np.any(s == 1):
         raise ArgumentError("pole at s = 1")
-    if np.any(s <= 1 - 2 * _EM_M):
+    if np.any(np.real(s) <= 1 - 2 * _EM_M):
         raise ArgumentError(f"s={s} below Euler-Maclaurin validity")
     v = 0.0
-    dv = 0.0
     for n in range(_EM_N):
-        t = (n + a) ** (-s)
-        v += t
-        if derivative:
-            dv -= log(n + a) * t
+        v += (n + a) ** (-s)
     w = _EM_N + a
-    lw = log(w)
-    t = w ** (1 - s) / (s - 1)
-    v += t
-    if derivative:
-        dv += w ** (1 - s) * (-lw / (s - 1) - 1 / (s - 1) ** 2)
-    t = 0.5 * w ** (-s)
-    v += t
-    if derivative:
-        dv -= lw * t
+    if pole:
+        v += w ** (1 - s) / (s - 1)
+    v += 0.5 * w ** (-s)
     # Bernoulli tail: sum_k B_2k/(2k)! * (s)_{2k-1} * w^(-s-2k+1)
     fact = 1.0
-    poch = 1.0   # rising factorial (s)_{2k-1}
-    dpoch = 0.0  # its s-derivative
+    poch = 1.0  # rising factorial (s)_{2k-1}
     i = 0
     for k in range(1, _EM_M + 1):
         while i < 2 * k - 1:
-            dpoch = dpoch * (s + i) + poch
             poch = poch * (s + i)
             i += 1
         fact *= (2 * k) * (2 * k - 1) if k > 1 else 2
-        c = _BERNOULLI[k - 1] / fact
-        wp = w ** (-s - 2 * k + 1)
-        v += c * poch * wp
-        if derivative:
-            dv += c * wp * (dpoch - poch * lw)
-    return (v, dv) if derivative else v
+        v += _BERNOULLI[k - 1] / fact * poch * w ** (-s - 2 * k + 1)
+    return v
 
 
-# a memo hit skips the validity checks too; an exception is never cached
-_hurwitz_scalar = lru_cache(maxsize=8192)(_euler_maclaurin)
+# a memo hit skips the validity checks too; an exception is never cached;
+# typed: a complex s never returns a float entry (or the reverse)
+_hurwitz_scalar = lru_cache(maxsize=8192, typed=True)(_euler_maclaurin)
 
 
-def zeta_real(s: float, regularized: bool = False) -> float:
-    """zeta(s) for real s > -13 (or (s-1)zeta(s) when regularized, smooth at s=1)."""
+def hurwitz_regular(s, a: float):
+    """(R, w) with zeta(s, a) = R + w^(1-s)/(s-1): the part of hurwitz analytic at s = 1."""
+    return _euler_maclaurin(as_argument(s), float(a), pole=False), _EM_N + a
+
+
+def pole_difference(s, w1: float, w2: float):
+    """(w1^(1-s) - w2^(1-s))/(s-1), without the cancellation of the two terms near s = 1.
+
+    It equals w1^(1-s) log(w2/w1) expm1(x)/x with x = (1-s) log(w2/w1).  For
+    |x| < 1 the factor expm1(x)/x is its power series: the quotient would lose
+    the imaginary part of a complex step to cancellation.
+    """
+    lr = log(w2 / w1)
+    x = (1 - s) * lr
+    ratio = 1.0  # sum_k x^k/(k+1)! by Horner; the omitted terms are below 1/20! for |x| < 1
+    for k in range(20, 1, -1):
+        ratio = 1 + x * ratio / k
+    big = np.abs(x) >= 1
+    ratio = np.where(big, np.expm1(x) / np.where(big, x, 1.0), ratio)
+    return w1 ** (1 - s) * lr * ratio
+
+
+def zeta_real(s, regularized: bool = False):
+    """zeta(s), or (s-1) zeta(s) = (s-1) R + w^(1-s) (hurwitz_regular) when regularized.
+
+    The regularized form has no pole to cancel: it is accurate next to s = 1
+    and equals 1 there.
+    """
     if regularized:
-        if np.ndim(s) > 0:
-            return np.where(s == 1, 1.0, (s - 1) * hurwitz(np.where(s == 1, 2.0, s)))
-        if s == 1:
-            return 1.0
-        return (s - 1) * hurwitz(s)
-    if np.ndim(s) == 0 and s <= 0 and s == floor(s):
-        if s == 0:
-            return -0.5
-        # trivial zeros / negative odd values not needed; fall through to EM
+        R, w = hurwitz_regular(s, 1.0)
+        return (s - 1) * R + w ** (1 - s)
     return hurwitz(s)
 
 
@@ -247,7 +270,7 @@ def _principal_L(s, modulus: int):
 
 
 def dirichlet_L(s, chi: Character):
-    """L(s, chi) (as the Dirichlet series of chi's value table) at real s != 1.
+    """L(s, chi) (as the Dirichlet series of chi's value table) at s != 1, real or complex.
 
     `s` may be a scalar or a numpy array (elementwise evaluation).  For
     principal chi the value is zeta(s) * prod_{p | M}(1 - p^-s); at s = 1 that

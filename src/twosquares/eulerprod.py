@@ -1,7 +1,7 @@
 """Euler products and prime sums restricted to p = 3 mod 4, from one engine.
 
 The engine is log_ep3(w, chi): the log of T_chi(w) = prod_{p=3(4)} (1 - chi(p) p^-w)
-for real w > 1, by the twisted doubling identity
+for Re w > 1 (real or complex w), by the twisted doubling identity
     T_chi(w)^2 = T_{chi^2}(2w) L(w, chi chi4) / ((1 - chi(2) 2^-w) L(w, chi)),
 which holds prime by prime: (1 - c p^-w)^2 = (1 - c^2 p^-2w) (1 - c p^-w)/(1 + c p^-w).
 Each level halves the weight of the remaining product and doubles its exponent.
@@ -9,16 +9,15 @@ Levels apply while 2^j w < 64; the remainder T_{chi^(2^J)}(2^J w) is the direct
 product over p < 1000, whose omitted primes contribute less than 1000^-63.
 For the trivial chi the identity is T(w)^2 = T(2w) L(w, chi4) / ((1 - 2^-w) zeta(w)).
 
-Everything else is derived from it: ep3(w) = exp(Re log_ep3(w)); the prime sum
+Everything else is derived from it: ep3(w) = exp(log_ep3(w)); the prime sum
 P3(s) = sum_{p=3(4)} p^-s by Moebius inversion of log T(ks); and
-beta1 = 2 sum_{p=3(4)} log p/(p^2 - 1) = 2 d/dw log ep3(w) at w = 2, the same
-level loop differentiated.
+beta1 = 2 sum_{p=3(4)} log p/(p^2 - 1) = 2 d/dw log ep3(w) at w = 2, a complex
+step of log_ep3.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import log
 
 import numpy as np
 
@@ -68,7 +67,7 @@ def primes_3mod4(n: int) -> np.ndarray:
 
 def _n_levels(w, tail_from: float):
     """Number J of doubling levels: the j >= 0 with 2^j w < tail_from."""
-    return np.maximum(0, np.ceil(np.log2(tail_from / np.asarray(w)))).astype(int)
+    return np.maximum(0, np.ceil(np.log2(tail_from / np.real(w)))).astype(int)
 
 
 def _log_levels(w, chi: chars.Character, J: int):
@@ -89,19 +88,19 @@ def _log_levels(w, chi: chars.Character, J: int):
 
 
 def log_ep3(w, chi: chars.Character = chars.TRIVIAL, _tail_from: float = TAIL_FROM):
-    """log prod_{p=3(4)} (1 - chi(p) p^-w) for real w > 1 (scalar or array), complex.
+    """log prod_{p=3(4)} (1 - chi(p) p^-w) for Re w > 1 (scalar or array), complex.
 
     Branches: each level takes principal logs of L(u, chi) and L(u, chi chi4).
     The principal log of L(u, chi) is the log of its Euler product whenever
     zeta(u) < 2 (the Euler log is then below log 2 < pi in modulus); the one
-    twisted caller, C_q_chi, uses w = 2.  For the trivial chi both L-values are
-    positive and the result is real.
+    twisted caller, C_q_chi, uses w = 2.  For the trivial chi and real w both
+    L-values are positive and the result is real.
     """
-    if np.any(np.asarray(w) <= 1):
-        raise ArgumentError("w must be > 1")
+    if np.any(np.real(w) <= 1):
+        raise ArgumentError("w must have real part > 1")
+    w = chars.as_argument(w)
     if np.ndim(w) == 0:
-        return complex(_log_levels(float(w), chi, int(_n_levels(w, _tail_from))))
-    w = np.asarray(w, dtype=float)
+        return complex(_log_levels(w, chi, int(_n_levels(w, _tail_from))))
     J = _n_levels(w, _tail_from)
     out = np.empty(w.shape, dtype=complex)
     for j in np.unique(J):
@@ -110,19 +109,21 @@ def log_ep3(w, chi: chars.Character = chars.TRIVIAL, _tail_from: float = TAIL_FR
 
 
 def ep3(w):
-    """prod over p = 3 mod 4 of (1 - p^-w), real w > 1 (scalar or array)."""
-    v = np.exp(np.real(log_ep3(w)))
-    return float(v) if np.ndim(w) == 0 else v
+    """prod over p = 3 mod 4 of (1 - p^-w), Re w > 1 (scalar or array); real for real w."""
+    v = log_ep3(w)
+    v = np.exp(v if np.iscomplexobj(w) else np.real(v))
+    return v.item() if np.ndim(w) == 0 else v
 
 
-def dirichlet_chi4(s) -> float:
-    """L(s, chi4) = 4^-s (zeta(s,1/4) - zeta(s,3/4)), real; exact pi/4 at s=1.
+def dirichlet_chi4(s):
+    """L(s, chi4) = 4^-s (zeta(s,1/4) - zeta(s,3/4)), scalar or array, real or complex s.
 
-    Accepts scalar or numpy-array s (no poles, so arrays need no special case).
+    The two Hurwitz poles at s = 1 cancel analytically (pole_difference), so
+    the value keeps full relative accuracy next to and at s = 1.
     """
-    if np.ndim(s) == 0 and s == 1:
-        return np.pi / 4
-    return 4.0 ** (-s) * (chars.hurwitz(s, 0.25) - chars.hurwitz(s, 0.75))
+    r1, w1 = chars.hurwitz_regular(s, 0.25)
+    r3, w3 = chars.hurwitz_regular(s, 0.75)
+    return 4.0 ** (-s) * (r1 - r3 + chars.pole_difference(s, w1, w3))
 
 
 @lru_cache(maxsize=None)
@@ -138,23 +139,5 @@ def prime_zeta_3mod4(s: float) -> float:
 
 
 def beta1() -> float:
-    """beta1 = 2 sum_{p=3(4)} log p/(p^2 - 1) = 2 d/dw log ep3(w) at w = 2.
-
-    Level j of log_ep3 contributes log(L(u,chi4) / (zeta(u)(1 - 2^-u))) / 2^(j+1)
-    with u = 2^j w, so its w-derivative is (L'/L(u,chi4) - zeta'/zeta(u)
-    - log 2/(2^u - 1)) / 2; the direct product adds sum_p log p/(p^u - 1).
-    """
-    total = 0.0
-    u = 2.0
-    for _ in range(int(_n_levels(u, TAIL_FROM))):
-        z, dz = chars.hurwitz(u, 1.0, derivative=True)
-        L = dirichlet_chi4(u)
-        dL = 4.0 ** (-u) * (
-            chars.hurwitz(u, 0.25, derivative=True)[1]
-            - chars.hurwitz(u, 0.75, derivative=True)[1]
-        ) - log(4.0) * L
-        total += (dL / L - dz / z - log(2.0) / (2.0**u - 1)) / 2
-        u *= 2
-    ps = primes_3mod4(TAIL_PRIMES).astype(float)
-    total += float(np.sum(np.log(ps) / (ps**u - 1)))
-    return 2 * total
+    """beta1 = 2 sum_{p=3(4)} log p/(p^2 - 1) = 2 d/dw log ep3(w) at w = 2 (complex step)."""
+    return 2 * float(chars.complex_step(log_ep3, 2.0))

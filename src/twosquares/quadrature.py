@@ -22,9 +22,10 @@ Three integrals over sigma in (1/2 + eps, 1), all with an endpoint factor
               H^{sigma-1} / |sigma-1|^{1/2},
     with the variant F(s) = zeta(s-1) M(s-1) [(s-1) zeta(s)]^{1/2} / s.
 
-F' is a numeric derivative (central differences + Richardson); near 1/2 it
-blows up like (sigma - 1/2)^{-5/4}, so the v=0 and k-tuple integrals depend
-visibly on eps, which is always reported alongside the value.
+F' is a complex step of F (the evaluators accept complex s; Gamma' = Gamma psi),
+so it is as accurate as F itself; near 1/2 it blows up like
+(sigma - 1/2)^{-5/4}, so the v=0 and k-tuple integrals depend visibly on eps,
+which is always reported alongside the value.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ REL_TARGET = 1e-8  # node-doubling agreement every integral must reach
 class QuadratureConfig:
     """The two settings of an integral: its lower cut 1/2 + epsilon and its node count.
 
-    The endpoint substitutions (_panel_nodes), the Richardson levels of F' and
-    the node-doubling target REL_TARGET are fixed.
+    The endpoint substitutions (_panel_nodes), the complex step of F' and the
+    node-doubling target REL_TARGET are fixed.
     """
 
     epsilon: float = 0.02  # 0 means: integrate to the 1/2 endpoint (quartic substitution)
@@ -62,21 +63,23 @@ class QuadratureConfig:
 
 
 # ---------------------------------------------------------------------------
-# special functions on the real interval (1/2, 1]
+# special functions on the interval (1/2, 1] (and next to it, for complex steps)
 
 _gamma = np.vectorize(gamma, otypes=[float])  # node arrays hold a few hundred points
+_digamma = np.vectorize(chars.digamma, otypes=[float])
 
 
 def _node_memo(fn):
     """fn memoized on the node array it is given; scalars pass straight through.
 
-    The factors below do not depend on x, H or q, so every integral (and every
-    Richardson shift of F') on the same nodes shares one evaluation.  Keyed on
-    the array's bytes and shape; the cached arrays are read-only.
+    The factors below do not depend on x, H or q, so every integral (and the
+    complex step of F') on the same nodes shares one evaluation.  Keyed on the
+    array's bytes, shape and dtype (real nodes and their complex steps differ);
+    the cached arrays are read-only.
     """
     @lru_cache(maxsize=256)
-    def cached(buf: bytes, shape: tuple):
-        out = fn(np.frombuffer(buf).reshape(shape))
+    def cached(buf: bytes, shape: tuple, dtype: np.dtype):
+        out = fn(np.frombuffer(buf, dtype=dtype).reshape(shape))
         out.flags.writeable = False
         return out
 
@@ -84,8 +87,8 @@ def _node_memo(fn):
     def memo(s):
         if np.ndim(s) == 0:
             return fn(s)
-        s = np.asarray(s, dtype=float)
-        return cached(s.tobytes(), s.shape)
+        s = chars.as_argument(s)
+        return cached(s.tobytes(), s.shape, s.dtype)
 
     memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
     return memo
@@ -106,10 +109,10 @@ def G_fn(s):
 
 @_node_memo
 def _core(s):
-    """zeta(s-1) M(s-1) [(s-1) zeta(s)]^{1/2}, shared by both F variants."""
+    """zeta(s-1) M(s-1) [(s-1) zeta(s)]^{1/2}, shared by both F variants; real or complex s."""
     reg = chars.zeta_real(s, regularized=True)  # = (s-1) zeta(s)
-    if np.any(np.asarray(reg) <= 0):
-        raise AccuracyError("(s-1) zeta(s) <= 0 on the node set")
+    if np.any(np.real(reg) <= 0):
+        raise AccuracyError("(s-1) zeta(s) has real part <= 0 on the node set")
     return chars.zeta_real(s - 1) * constants._M_of_s(s - 1) * np.sqrt(reg)
 
 
@@ -125,36 +128,21 @@ def F_inv(s):
 
 def A_q(s, q: int):
     """(1 - q^{-(s-1)})/(s-1), with the removable limit log q at s=1."""
-    t = np.asarray(s, dtype=float) - 1
-    lq = log(q)
-    small = np.abs(t) < 1e-7
-    safe = np.where(small, 1.0, t)
-    out = np.where(small, lq - t * lq * lq / 2, (1 - q ** (-safe)) / safe)
-    return out if np.ndim(s) > 0 else float(out)
+    return chars.pole_difference(s, 1.0, q)
 
 
 def F_chi0(s, q: int):
     return A_q(s, q) * F_gamma(s)
 
 
-def _richardson_derivative(f, s, h0: float, levels: int):
-    """f'(s) by central differences, Richardson-extrapolated in h^2."""
-    rows = []
-    for i in range(levels):
-        h = h0 / 2**i
-        rows.append([(f(s + h) - f(s - h)) / (2 * h)])
-        for k in range(1, i + 1):
-            fac = 4.0**k
-            rows[i].append((fac * rows[i][k - 1] - rows[i - 1][k - 1]) / (fac - 1))
-    return rows[-1][-1]
+def F_gamma_prime(s):
+    """F_gamma'(s) = (core'(s) + core(s) psi(s)) Gamma(s), core' by a complex step."""
+    return (chars.complex_step(_core, s) + _core(s) * _digamma(s)) * _gamma(s)
 
 
-def F_gamma_prime(s, levels: int = 4, h0: float = 1e-3):
-    return _richardson_derivative(F_gamma, s, h0, levels)
-
-
-def F_inv_prime(s, levels: int = 4, h0: float = 1e-3):
-    return _richardson_derivative(F_inv, s, h0, levels)
+def F_inv_prime(s):
+    """F_inv'(s) by a complex step of core(s)/s."""
+    return chars.complex_step(F_inv, s)
 
 
 # ---------------------------------------------------------------------------

@@ -58,18 +58,49 @@ def test_hurwitz_scalar_types_share_the_memo():
     want = chars.hurwitz(2.5)
     assert chars.hurwitz(np.float64(2.5)) == want
     assert chars.hurwitz(np.array(2.5)) == want
-    assert chars.hurwitz(np.array(2.5), 0.25, derivative=True) == chars.hurwitz(2.5, 0.25, True)
+    # a complex 0-d array is a complex scalar, and a float never gets a complex entry
+    z = chars.hurwitz(2.5 + 0.5j, 0.25)
+    assert isinstance(z, complex) and chars.hurwitz(np.array(2.5 + 0.5j), 0.25) == z
+    assert isinstance(chars.hurwitz(2.5 + 0j), complex)
+    assert type(chars.hurwitz(2.5)) is float
 
 
 def test_hurwitz_derivative():
-    v, dv = chars.hurwitz(0.75, 0.3, derivative=True)
-    assert abs(v - float(mp.zeta(0.75, 0.3))) < 1e-10
+    # d/ds zeta(s, a) as a complex step of the evaluator
+    dv = chars.complex_step(lambda t: chars.hurwitz(t, 0.3), 0.75)
     want = float(mp.diff(lambda t: mp.zeta(t, 0.3), 0.75))
-    assert abs(dv - want) < 1e-8
+    assert dv == pytest.approx(want, rel=1e-13)
+    vec = chars.complex_step(lambda t: chars.hurwitz(t, 0.3), np.array([0.75, 2.5]))
+    assert vec[0] == dv
+
+
+@pytest.mark.parametrize("s", [0.75 + 1e-30j, 0.5 + 2j, -0.4 + 1j, 2.5 - 0.7j, 1 + 0.25j,
+                               0.25j, -0.25])
+def test_hurwitz_complex_matches_mpmath(s):
+    for a in (1.0, 0.25, 0.75):
+        want = complex(mp.zeta(s, a))
+        tol = 1e-13 * max(1.0, abs(want))
+        assert abs(chars.hurwitz(s, a) - want) < tol
+        assert abs(chars.hurwitz(np.array([s]), a)[0] - want) < tol
+
+
+@pytest.mark.parametrize("d", [1e-5, -1e-5, 1e-9, -1e-9, 1e-11, -1e-11])
+def test_zeta_regularized_pole_free(d):
+    # (s-1) zeta(s) next to the pole: no 1/(s-1) term is formed and cancelled,
+    # which a complex step would otherwise amplify by 1/|s-1|
+    s = 1 + d
+    want = float((mp.mpf(s) - 1) * mp.zeta(mp.mpf(s)))
+    assert chars.zeta_real(s, regularized=True) == pytest.approx(want, rel=1e-14)
+    vec = chars.zeta_real(np.array([s, 2.0]), regularized=True)
+    assert vec[0] == pytest.approx(want, rel=1e-14)
+    dwant = float(mp.diff(lambda t: (t - 1) * mp.zeta(t), mp.mpf(s)))
+    dgot = chars.complex_step(lambda t: chars.zeta_real(t, regularized=True), s)
+    assert dgot == pytest.approx(dwant, rel=1e-13)
 
 
 def test_zeta_regularized_smooth_at_one():
     assert chars.zeta_real(1.0, regularized=True) == 1.0
+    assert chars.zeta_real(np.array([1.0]), regularized=True)[0] == 1.0
     for s in (0.999999, 1.000001):
         assert abs(chars.zeta_real(s, regularized=True) - 1) < 1e-5
 

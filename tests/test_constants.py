@@ -87,9 +87,43 @@ def test_sign_pattern_all_q():
 def test_oracle_matches_closed_form_at_j1():
     hi = constants.higher_coeffs_numeric(3, 5)
     c1, c0_1, c1_1 = constants.selberg_delange_coeffs(5)
-    assert hi[1][0] == pytest.approx(c1, abs=1e-8)
-    assert hi[1][1] == pytest.approx(c0_1, abs=1e-8)
-    assert hi[1][2] == pytest.approx(c1_1, abs=1e-8)
+    assert hi[1][0] == pytest.approx(c1, abs=1e-12)
+    assert hi[1][1] == pytest.approx(c0_1, abs=1e-12)
+    assert hi[1][2] == pytest.approx(c1_1, abs=1e-12)
+
+
+def test_oracle_c0_3_is_the_corrected_value():
+    assert constants.higher_coeffs_numeric(3, 5)[3][1] == pytest.approx(
+        refdata.C0_3_CORRECTED, abs=1e-10)
+
+
+@pytest.mark.parametrize("skew,raises", [(1e-9, True), (1e-14, False)])
+def test_taylor_circle_certificate(monkeypatch, skew, raises):
+    # add skew * (s/r)^64: the 128-node rule does not see it below degree 64,
+    # the 64-node rule aliases it onto p_0, exactly as a real degree-64 term would
+    P = constants._P_of_s
+
+    def skewed(s):
+        return P(s) + skew * (s / constants.TAYLOR_RADIUS) ** 64
+
+    monkeypatch.setattr(constants, "_P_of_s", skewed)
+    constants._p_taylor.cache_clear()
+    try:
+        if raises:
+            with pytest.raises(AccuracyError):
+                constants._p_taylor(3)
+        else:
+            constants._p_taylor(3)
+    finally:
+        constants._p_taylor.cache_clear()
+
+
+@pytest.mark.parametrize("q", [5, 13, 29, 101])
+def test_even_characters_give_exact_zero(q):
+    tab = chars.character_table(q)
+    for chi, parity in zip(tab.characters[1:], tab.parities[1:]):
+        if parity == 1:
+            assert constants.C_q_chi(q, chi) == 0j
 
 
 def test_p_taylor_shared_by_every_q():
@@ -106,8 +140,8 @@ def test_taylor_coeffs_circle_oracle():
 
     P(s) = zeta(s) (s zeta(s+1))^{1/2} M(s) Gamma(s+1), as in the constants
     module docstring, is expanded by the trapezoid rule on |s| = 1/4.  Its
-    nearest singularity, the pole of zeta at s = 1, lies at radius 1, so 32
-    nodes leave an aliasing error of order 4^-32.  The oracle checks
+    nearest singularity, the branch point of ep3(2s+2) at s = -1/2, lies at
+    radius 1/2, so 32 nodes leave an aliasing error of about 4e-11.  The oracle checks
     higher_coeffs_numeric, the five published coefficients it reproduces, and
     the corrected c0(3) recorded in refdata.
     """
@@ -135,7 +169,7 @@ def test_taylor_coeffs_circle_oracle():
             want[j] = (float(c), float(c - c_chi0), float(c_chi0 / (q - 1)))
     got = constants.higher_coeffs_numeric(3, q)
     for j in (1, 2, 3):
-        assert got[j] == pytest.approx(want[j], abs=1e-7)
+        assert got[j] == pytest.approx(want[j], abs=1e-9)
         assert want[j][2] == pytest.approx(refdata.C1_REF[j], abs=1e-9)
     for j in (1, 2):
         assert want[j][1] == pytest.approx(refdata.C0_REF[j], abs=1e-9)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mp_oracles as oracles
 from twosquares import eulerprod as ep
 from twosquares import characters as chars
 from twosquares.errors import ArgumentError
@@ -80,6 +81,31 @@ def test_dirichlet_chi4_matches_mpmath():
                                           - mp.zeta(s, mp.mpf(3) / 4))) \
             if s != 1 else float(mp.pi / 4)
         assert ep.dirichlet_chi4(s) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [1e-5, -1e-5, 1e-9, -1e-9, 1e-11, -1e-11])
+def test_dirichlet_chi4_pole_free(d):
+    # the two Hurwitz poles at s = 1 cancel analytically, not numerically
+    s = 1 + d
+    want = float(mp.dirichlet(mp.mpf(s), [0, 1, 0, -1]))
+    assert ep.dirichlet_chi4(s) == pytest.approx(want, rel=1e-14)
+    assert ep.dirichlet_chi4(np.array([s, 2.0]))[0] == pytest.approx(want, rel=1e-14)
+    dwant = float(mp.diff(lambda t: mp.dirichlet(t, [0, 1, 0, -1]), mp.mpf(s)))
+    assert chars.complex_step(ep.dirichlet_chi4, s) == pytest.approx(dwant, rel=1e-13)
+
+
+@pytest.mark.parametrize("w", [2 + 1e-30j, 1.5 + 1j, 2.2 - 3j, 5 + 0.5j])
+def test_log_ep3_complex_matches_mpmath(w):
+    # the doubling identity in mpmath, a different level count and tail
+    want = complex(mp.log(oracles.ep3(mp.mpc(w), depth=6)))
+    assert abs(ep.log_ep3(w) - want) < 1e-13 * max(1.0, abs(want))
+    assert abs(ep.log_ep3(np.array([w, 3.0]))[0] - want) < 1e-13 * max(1.0, abs(want))
+    assert ep.ep3(w) == pytest.approx(cmath.exp(want), rel=1e-13)
+
+
+def test_beta1_is_the_derivative_of_log_ep3():
+    want = 2 * float(mp.diff(lambda w: mp.log(oracles.ep3(w)), 2))
+    assert ep.beta1() == pytest.approx(want, rel=1e-13)
 
 
 def test_prime_zeta_3mod4_matches_direct_sum():

@@ -60,10 +60,25 @@ def test_A_q_removable_singularity():
         assert quadrature.A_q(1 + h, q) == pytest.approx(np.log(q), abs=1e-4)
 
 
-def test_F_prime_matches_fine_difference():
-    for s in (0.7, 0.9):
-        want = (quadrature.F_gamma(s + 1e-6) - quadrature.F_gamma(s - 1e-6)) / 2e-6
-        assert quadrature.F_gamma_prime(s) == pytest.approx(want, rel=1e-5)
+def _core_mp(s):
+    """zeta(s-1) M(s-1) [(s-1) zeta(s)]^{1/2} in mpmath, M as in the constants module."""
+    M = (1 - mp.power(2, 1 - s) + mp.power(2, 2 - 2 * s)) / mp.sqrt(
+        mp.dirichlet(s, oracles.CHI4) * (1 - mp.power(2, -s)) * oracles.ep3(2 * s))
+    return mp.zeta(s - 1) * M * mp.sqrt((s - 1) * mp.zeta(s))
+
+
+@pytest.mark.parametrize("s", [0.53, 0.7, 1 - 2e-9])
+def test_F_prime_matches_mpmath(s):
+    # 1 - 2e-9: the upper-panel nodes come this close to the poles at s = 1
+    with mp.workdps(30):
+        sm = mp.mpf(s)
+        want_g = float(mp.diff(lambda t: _core_mp(t) * mp.gamma(t), sm))
+        want_i = float(mp.diff(lambda t: _core_mp(t) / t, sm))
+    assert quadrature.F_gamma_prime(s) == pytest.approx(want_g, rel=1e-10)
+    assert quadrature.F_inv_prime(s) == pytest.approx(want_i, rel=1e-10)
+    nodes = np.array([s, 0.9])
+    assert quadrature.F_gamma_prime(nodes)[0] == pytest.approx(want_g, rel=1e-10)
+    assert quadrature.F_inv_prime(nodes)[0] == pytest.approx(want_i, rel=1e-10)
 
 
 def test_integral_count_reference_values():
