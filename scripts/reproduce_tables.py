@@ -6,11 +6,13 @@ meta lines, then the markdown table, then the seconds it took.  The exit
 status is the CLI's: 0 success, 2 argument error, 3 accuracy/resource error;
 the script stops at the first table that fails.
 
-By default the heavy 10^12 sieve cells are served from recorded reference
-values (labeled "reference" in the output); pass --allow-long-run to recompute
-everything, which takes hours and tens of GB of cache.  --allow-long-run,
---threads and --cache-dir reach only the tables that take them
-(twosquares.tables.TABLE_OPTIONS).
+By default the actual cells of a long run (table 1 and the 10^11 and 10^12
+rows of table 2) are served from recorded reference values (labeled
+"reference" in the output); pass --allow-long-run to recompute them.  Table 2
+then counts without a sieve in about 10 s on one core; only table 1 still
+sieves to 10^12, which takes hours.
+--allow-long-run, --threads and --cache-dir reach only the tables that take
+them (twosquares.tables.TABLE_OPTIONS).
 
 Examples:
     python3 scripts/reproduce_tables.py              # tables 2..7 at default scale

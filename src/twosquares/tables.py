@@ -3,9 +3,10 @@
 reproduce_table(i, x, H, ...) is the one entry point (the CLI's `table`
 command and scripts/reproduce_tables.py both go through it); it returns
 (header, rows, meta), with rows as plain lists ready for CSV/JSON/markdown
-rendering.  Cells that would require sieving to 10^12 are served from refdata
+rendering.  Actual cells beyond DEFAULT_SIEVE_BUDGET are served from refdata
 and labeled "reference" unless a long run is explicitly allowed; every
-computed cell states its source ("sieve", "predict", "integral", "sum").
+computed cell states its source ("sieve", "sublinear", "predict", "integral",
+"sum").
 Percentage errors follow the actual/prediction convention of the reference
 tables, printed to 4 decimals.
 """
@@ -17,7 +18,7 @@ from math import log, sqrt
 from . import constants, predictors, progressions, quadrature, refdata, singular
 from .errors import ArgumentError, ResourceError
 
-# sieving beyond this without allow_long_run is refused
+# actual counts beyond this x without allow_long_run are refused (tables 1 and 2)
 DEFAULT_SIEVE_BUDGET = 2 * 10**10
 REFERENCE_X = 10**12
 
@@ -29,7 +30,7 @@ def _pct(actual, pred):
 def _require_scale(x, allow_long_run):
     if x > DEFAULT_SIEVE_BUDGET and not allow_long_run:
         raise ResourceError(
-            f"sieving to {x:g} needs --allow-long-run or a scale override "
+            f"actual counts at x = {x:g} need --allow-long-run or a scale override "
             f"(--x <= {DEFAULT_SIEVE_BUDGET:g})")
 
 
@@ -52,8 +53,7 @@ def table1(x: float | None = None, q: int = 5, allow_long_run: bool = False,
     return header, rows, meta
 
 
-def table2(xs=None, allow_long_run: bool = False, cache_dir=None,
-           threads: int = 1):
+def table2(xs=None, allow_long_run: bool = False):
     """Counting function vs leading, refined and integral predictions."""
     xs = [int(v) for v in (xs or refdata.X_GRID)]
     header = ["x", "actual", "main", "refined", "integral",
@@ -66,8 +66,7 @@ def table2(xs=None, allow_long_run: bool = False, cache_dir=None,
             _require_scale(x, allow_long_run)
             from .sieve import count_up_to
             # the published counting function includes n = 0 (0 = 0^2 + 0^2)
-            actual, src = count_up_to(x, include_zero=True, cache_dir=cache_dir,
-                                      threads=threads), "sieve"
+            actual, src = count_up_to(x, include_zero=True), "sublinear"
         main = round(predictors.landau_refined(x, 0))
         refined = round(predictors.landau_refined(x, 1))
         integral = round(quadrature.integral_count(
@@ -180,7 +179,7 @@ def table7(q: int = 5, Hs=None, allow_long_run: bool = False):
 # the options each table takes; giving any other is an ArgumentError
 TABLE_OPTIONS = {
     1: ("x", "allow_long_run", "threads", "cache_dir"),
-    2: ("x", "allow_long_run", "threads", "cache_dir"),
+    2: ("x", "allow_long_run"),
     3: ("x",),
     4: ("x",),
     5: ("x",),
@@ -195,9 +194,9 @@ def reproduce_table(table_id: int, x: float | None = None, H: float | None = Non
     """Build table `table_id` (1..7) at the default scale or at one x or one H.
 
     x sets the scale of tables 1 and 3-5 and the one row of table 2; H the one
-    row of tables 6 and 7.  threads and cache_dir reach the sieve (tables 1
-    and 2), allow_long_run the scale guards (tables 1, 2, 6 and 7).  An option
-    the table does not take (TABLE_OPTIONS) is an ArgumentError.
+    row of tables 6 and 7.  threads and cache_dir reach the sieve (table 1),
+    allow_long_run the scale guards (tables 1, 2, 6 and 7).  An option the
+    table does not take (TABLE_OPTIONS) is an ArgumentError.
     """
     if table_id not in TABLE_OPTIONS:
         raise ArgumentError("table id must be 1..7")
@@ -212,7 +211,6 @@ def reproduce_table(table_id: int, x: float | None = None, H: float | None = Non
                                              allow_long_run=allow_long_run)
     if table_id in (3, 4, 5):
         return (table3, table4, table5)[table_id - 3](REFERENCE_X if x is None else x)
-    sieve_kw = {"allow_long_run": allow_long_run, "threads": threads, "cache_dir": cache_dir}
     if table_id == 1:
-        return table1(x, **sieve_kw)
-    return table2(None if x is None else [x], **sieve_kw)
+        return table1(x, allow_long_run=allow_long_run, threads=threads, cache_dir=cache_dir)
+    return table2(None if x is None else [x], allow_long_run=allow_long_run)

@@ -115,7 +115,10 @@ def test_exit_code_2_on_bad_arguments(run):
     assert run("table", "--id", "3", "--h", "100")[0] == 2    # table 3 takes no H
     assert run("table", "--id", "6", "--x", "1e9")[0] == 2    # table 6 takes no x
     # options a table would ignore: threads and cache_dir reach only the sieve
-    # tables 1 and 2, allow_long_run only tables 1, 2, 6 and 7
+    # of table 1, allow_long_run only tables 1, 2, 6 and 7
+    assert run("table", "--id", "2", "--threads", "2")[0] == 2
+    assert run("table", "--id", "2", "--cache-dir", "unused")[0] == 2
+    assert run("sieve-count", "--x", "1e6", "--threads", "2")[0] == 2
     assert run("table", "--id", "3", "--threads", "2")[0] == 2
     assert run("table", "--id", "6", "--threads", "2")[0] == 2
     assert run("table", "--id", "3", "--allow-long-run")[0] == 2
@@ -132,7 +135,7 @@ def test_exit_code_3_on_resource_limits(run):
 
 def test_cache_env_var(run, tmp_path, monkeypatch):
     monkeypatch.setenv("TWO_SQUARES_CACHE", str(tmp_path))
-    code, _ = run("sieve-count", "--x", "1e6")
+    code, _ = run("pairs", "--x", "1e6")
     assert code == 0
     assert list(tmp_path.iterdir())
     # unlike an explicit --cache-dir, the variable is no error where it is unused

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosquares import progressions, sieve
+from twosquares import progressions, refdata, sieve
 from twosquares.errors import ArgumentError
 
 def brute_two_squares_set(limit: int) -> set:
@@ -110,6 +110,54 @@ def test_count_monotone_and_known_values():
     assert sieve.count_up_to(10**6, include_zero=True) == 216342
 
 
+def test_count_matches_membership_test_to_2000():
+    members = np.cumsum([sieve.is_sum_of_two_squares(n) for n in range(2001)])
+    for x in range(2001):
+        assert sieve.count_up_to(x, include_zero=True) == members[x]
+        assert sieve.count_up_to(x) == members[x] - 1
+
+
+def _sieve_counts(xs):
+    """{x: #E cap [1, x]} for every x in xs, from one sieve pass over [1, max(xs)]."""
+    out, total = {}, 0
+    for seg in sieve.iter_segments(1, max(xs)):
+        for x in xs:
+            if seg.lo <= x <= seg.hi:
+                out[x] = total + int(np.count_nonzero(seg.bits[:x - seg.lo + 1]))
+        total += int(np.count_nonzero(seg.bits))
+    return out
+
+
+def _sieve_total(x, **sieve_kw):
+    """#E cap [1, x] from the sieve's segments, [1, x] split as segment_budget says."""
+    return progressions.count_by_residue(x, 5, **sieve_kw).total()
+
+
+def test_count_at_prime_powers_matches_sieve():
+    # x next to p^2 and p^3 moves isqrt(x), the split of the values x // k and
+    # the exponents e with p^(e+1) <= x; 10009 = 1 and 10007 = 3 (mod 4)
+    xs = [p**3 for p in (2, 3, 5, 7, 11, 13)]
+    xs += [p * p + d for p in (2, 3, 5, 7, 11, 13, 10007, 10009) for d in (-1, 0, 1, p, 2 * p)]
+    expect = _sieve_counts(xs)
+    assert {x: sieve.count_up_to(x) for x in xs} == expect
+
+
+@given(st.integers(min_value=1, max_value=10**7))
+@settings(max_examples=50, deadline=None)
+def test_count_matches_sieve_total(x):
+    assert sieve.count_up_to(x) == _sieve_total(x)
+
+
+def test_count_matches_recorded_table2():
+    for x in (10**9, 10**10):
+        assert sieve.count_up_to(x, include_zero=True) == refdata.TABLE2[x][0]
+
+
+def test_count_matches_sieve_pass_at_1e9(stats_1e9):
+    singles, _ = stats_1e9
+    assert singles.total() == sieve.count_up_to(10**9)
+
+
 def test_small_segments_agree_with_one_big_segment():
     one = sum(seg.count() for seg in sieve.iter_segments(1, 10**6))
     many = sum(seg.count() for seg in
@@ -118,8 +166,8 @@ def test_small_segments_agree_with_one_big_segment():
 
 
 def test_threads_deterministic():
-    a = sieve.count_up_to(10**6, threads=1)
-    b = sieve.count_up_to(10**6, threads=4)
+    a = _sieve_total(10**6, threads=1)
+    b = _sieve_total(10**6, threads=4)
     assert a == b
 
 
@@ -174,8 +222,8 @@ def _brute_sorted(limit):
 
 def test_pool_count_matches_serial_and_brute():
     x, budget = 10**5, 2**14  # seven segments
-    serial = sieve.count_up_to(x, segment_budget=budget)
-    pooled = sieve.count_up_to(x, segment_budget=budget, threads=2)
+    serial = _sieve_total(x, segment_budget=budget)
+    pooled = _sieve_total(x, segment_budget=budget, threads=2)
     assert pooled == serial == len(_brute_sorted(x))
 
 
@@ -197,17 +245,17 @@ def test_pool_pair_stats_match_serial_and_brute():
 
 def test_cache_roundtrip(tmp_path):
     d = str(tmp_path)
-    a = sieve.count_up_to(10**6, cache_dir=d)
+    a = _sieve_total(10**6, cache_dir=d)
     files = list(tmp_path.iterdir())
     assert files, "cache files should be written"
-    b = sieve.count_up_to(10**6, cache_dir=d)  # served from cache
+    b = _sieve_total(10**6, cache_dir=d)  # served from cache
     assert a == b == 216341
 
 
 def test_corrupt_cache_files_are_recomputed(tmp_path):
     x, budget = 10**5, 2**15  # four segments, four cache files
-    fresh = sieve.count_up_to(x, segment_budget=budget)
-    sieve.count_up_to(x, segment_budget=budget, cache_dir=str(tmp_path))
+    fresh = _sieve_total(x, segment_budget=budget)
+    _sieve_total(x, segment_budget=budget, cache_dir=str(tmp_path))
     files = sorted(tmp_path.glob("s2sq_*.bin"))
     assert len(files) == 4
     truncated, flipped, old_format = files[:3]
@@ -221,7 +269,7 @@ def test_corrupt_cache_files_are_recomputed(tmp_path):
     for f in (truncated, flipped, old_format):
         with pytest.raises(ArgumentError):
             sieve.SieveSegment.from_bytes(f.read_bytes())
-    assert sieve.count_up_to(x, segment_budget=budget, cache_dir=str(tmp_path)) == fresh
+    assert _sieve_total(x, segment_budget=budget, cache_dir=str(tmp_path)) == fresh
     for f in (truncated, flipped, old_format):  # rewritten intact
         sieve.SieveSegment.from_bytes(f.read_bytes())
 
@@ -229,6 +277,8 @@ def test_corrupt_cache_files_are_recomputed(tmp_path):
 def test_argument_errors():
     with pytest.raises(ArgumentError):
         sieve.count_up_to(-1)
+    with pytest.raises(ArgumentError):
+        sieve.count_up_to(1 << 62)
     assert sieve.count_up_to(0) == 0
     assert sieve.count_up_to(0, include_zero=True) == 1
     with pytest.raises(ArgumentError):

@@ -6,13 +6,13 @@ from twosquares import refdata, tables
 from twosquares.errors import ArgumentError, ResourceError
 
 
-def test_table2_small_scale_sieves(tmp_path):
-    header, rows, meta = tables.table2(xs=[10**6], cache_dir=str(tmp_path))
+def test_table2_small_scale_sieves():
+    header, rows, meta = tables.table2(xs=[10**6])
     assert header[0] == "x"
     row = rows[0]
     assert row[0] == 10**6
     assert row[1] == 216342  # published convention includes n = 0
-    assert row[-1] == "sieve"
+    assert row[-1] == "sublinear"
 
 
 def test_table2_reference_scale_no_sieve():
