@@ -28,8 +28,10 @@ sum to x is a Lucy + min_25 sum over the 2 sqrt(x) values x // k, in int64
 numpy arrays: O(x^(3/4)) time and O(sqrt(x)) memory, in the calling process.
 On one core of the same VM it takes about 0.04 CPU s at 2^28, 0.08 s at 10^9,
 1.2 s at 10^11 and 5 s at 10^12, where the arrays have 2 * 10^6 entries and
-the process peaks at 172 MB.  The sieve is its independent oracle in the
-tests.
+the process peaks at 172 MB (about 70 bytes per entry).  Above
+COUNT_VALUES_BUDGET entries (x beyond about 2.5 * 10^13) it raises
+ResourceError before allocating anything.  The sieve is its independent
+oracle in the tests.
 
 Counts N(x; ...) range over 1 <= n <= x by default; 0 = 0^2+0^2 is a member of
 E but is excluded from counts unless include_zero is requested.  The reference
@@ -54,6 +56,7 @@ from .eulerprod import primes_up_to
 
 DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
 DEFAULT_OVERSHOOT = 10**6
+COUNT_VALUES_BUDGET = 10**7  # max |V| = 2 sqrt(x) for count_up_to: x <= 2.5e13, ~700 MB peak
 
 _ROW_BLOCK = 1 << 14  # rows per numpy pass when finding first marks (cache-sized temporaries)
 _CACHE_MAGIC = b"S2SQ2"
@@ -276,6 +279,9 @@ def _sum_f(x: int) -> int:
     """
     r = isqrt(x)
     small = x // r - 1
+    if r + small > COUNT_VALUES_BUDGET:
+        raise ResourceError(f"x = {x} needs {r + small} values x // k, "
+                            f"above the budget of {COUNT_VALUES_BUDGET}")
     V = np.concatenate([x // np.arange(1, r + 1, dtype=np.int64),
                         np.arange(small, 0, -1, dtype=np.int64)])
 

@@ -5,24 +5,31 @@ Three evaluation routes:
 1. ck_singular_series: the exact closed form for pairs {0, h},
        S({0,h}) = (1/2K^2) W2(h) prod_{p=3(4), p|h} (1-p^-(v+1))/(1-1/p),
    W2(h) = 1 for odd h, 2 - 3*2^-v2(h) otherwise; vectorized over ranges of h
-   by a multiplicative sieve (ck_values).
+   by a multiplicative sieve (ck_values).  Primes p <= sqrt(T) multiply their
+   strided multiples once per power.  A prime p > sqrt(T) only occurs to the
+   first power, and at most one such prime divides h, so these factors come
+   last and are applied with one gather per cofactor m = h/p: about sqrt(T)
+   numpy calls instead of one per prime.
 
 2. singular_series_general: brute-force local densities.  The level-alpha
    density delta_D(p, alpha) counts a in [0, p^alpha) with every a+d in
        S_{p,alpha} = {p^(2b) m : 0 <= b < alpha/2, p ∤ m}   (p = 3 mod 4)
        S_{2,alpha} = {2^b m : 0 <= b < alpha-1, m = 1 mod 4},
-   exactly as a rational.  Successive even levels do NOT agree exactly - the
-   increments are exactly geometric with ratio p^-2 - so the limit is certified
-   by exact-rational extrapolation delta^(alpha) = delta(alpha+2) +
-   (delta(alpha+2) - delta(alpha))/(p^2 - 1): two equal successive extrapolants
-   (or two equal raw levels) stabilize the value.  Primes = 3 mod 4 not
-   dividing any pairwise difference have the exact closed factor
-   (1+1/p)^(k-1) (1-(k-1)/p), and the tail over p > cutoff is summed through
-   restricted prime zeta values.
+   exactly as a rational.  Every tuple reads the same read-only membership
+   table per (p, alpha), built once and memoized within DENSITY_BUDGET
+   entries, through two sliced ANDs per offset.  Successive even levels do
+   NOT agree exactly - the increments are exactly geometric with ratio p^-2 -
+   so the limit is certified by exact-rational extrapolation delta^(alpha) =
+   delta(alpha+2) + (delta(alpha+2) - delta(alpha))/(p^2 - 1): two equal
+   successive extrapolants (or two equal raw levels) stabilize the value.
+   Primes = 3 mod 4 not dividing any pairwise difference have the exact
+   closed factor (1+1/p)^(k-1) (1-(k-1)/p), and the tail over p > cutoff is
+   summed through restricted prime zeta values; tail_bound bounds what that
+   sum truncates.
 
 3. weighted sums S(q,v;H), S(H), S^(k), S_0 variants by direct summation of
    ck values against exponential weights, with the geometric parts subtracted
-   exactly.
+   exactly.  The weights are built on the class h = v (mod q) only.
 """
 
 from __future__ import annotations
@@ -31,15 +38,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, log
+from math import ceil, exp, expm1, isqrt, log
 
 import numpy as np
 
 from . import eulerprod as ep
 from .errors import AccuracyError, ArgumentError, ResourceError
 
-DENSITY_BUDGET = 6 * 10**7  # max p^alpha table size (19^6 must fit: p=19
-# triples need the level-6 density before the increments turn geometric)
+DENSITY_BUDGET = 6 * 10**7  # max p^alpha table size, and max entries the membership
+# memo holds in total (19^6 must fit: p=19 triples need the level-6 density
+# before the increments turn geometric)
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,9 @@ def ck_values(T: int, K: float) -> np.ndarray:
         F[2**v :: 2**v] *= f / fprev
         fprev = f
         v += 1
-    for p in ep.primes_3mod4(T).tolist():
+    P = ep.primes_3mod4(T)
+    n_small = int(np.searchsorted(P, isqrt(T), side="right"))
+    for p in P[:n_small].tolist():
         fprev = 1.0
         pk = p
         v = 1
@@ -136,6 +146,14 @@ def ck_values(T: int, K: float) -> np.ndarray:
             fprev = f
             pk *= p
             v += 1
+    # p > sqrt(T): only v = 1 occurs, and h = m p has no other such prime, so
+    # this factor is the last one h receives; one gather per cofactor m
+    P = P[n_small:]
+    f = (1 - P ** -2.0) / (1 - 1.0 / P)
+    m_max = T // int(P[0]) if P.size else 0
+    for m in range(1, m_max + 1):
+        n = int(np.searchsorted(P, T // m, side="right"))
+        F[m * P[:n]] *= f[:n]
     F /= 2 * K * K
     F[0] = 0.0
     return F
@@ -144,8 +162,29 @@ def ck_values(T: int, K: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # brute-force local densities
 
+_MEMBERSHIP: dict = {}  # (p, alpha) -> read-only table, least recently used first
+
+
 def _membership(p: int, alpha: int) -> np.ndarray:
-    """Boolean table of S_{p,alpha} over [0, p^alpha)."""
+    """Read-only boolean table of S_{p,alpha} over [0, p^alpha), memoized.
+
+    Every tuple D visits the same (p, alpha) levels, so each table is built
+    once; the memo holds at most DENSITY_BUDGET entries in total and drops the
+    least recently used tables first.
+    """
+    key = (p, alpha)
+    ok = _MEMBERSHIP.pop(key, None)
+    if ok is None:
+        ok = _build_membership(p, alpha)
+        ok.flags.writeable = False
+    _MEMBERSHIP[key] = ok
+    held = sum(a.size for a in _MEMBERSHIP.values())
+    while held > DENSITY_BUDGET:
+        held -= _MEMBERSHIP.pop(next(iter(_MEMBERSHIP))).size
+    return ok
+
+
+def _build_membership(p: int, alpha: int) -> np.ndarray:
     n = p**alpha
     if n > DENSITY_BUDGET:
         raise ResourceError(f"p^alpha = {n} exceeds budget {DENSITY_BUDGET}")
@@ -170,8 +209,10 @@ def local_density(p: int, D: TupleConfig, alpha: int) -> Fraction:
     ok = _membership(p, alpha)
     n = ok.size
     hit = np.ones(n, dtype=bool)
-    for d in D.offsets:
-        hit &= np.roll(ok, -d % n)
+    for d in D.offsets:  # hit[a] &= ok[(a + d) mod n], in two slices
+        s = d % n
+        hit[: n - s] &= ok[s:]
+        hit[n - s:] &= ok[:s]
     return Fraction(int(np.count_nonzero(hit)), n)
 
 
@@ -221,22 +262,36 @@ def _closed_ratio(p: int, k: int) -> Fraction:
     return (1 + Fraction(1, p)) ** (k - 1) * (1 - Fraction(k - 1, p))
 
 
+TAIL_WINDOW = 10**6  # _tail_log sums the m >= 4 terms directly over primes up to here
+
+
+def _sum_bound(a: int, m: int) -> float:
+    """Bound on the sum of n^-m over n = a, a + 4, a + 8, ... (m >= 2)."""
+    return a ** -float(m) * (1 + a / (4 * (m - 1)))
+
+
 @lru_cache(maxsize=None)
-def _tail_log(cutoff: int, k: int, terms: int = 60) -> float:
-    """log prod_{p>cutoff, p=3(4)} (1+1/p)^(k-1) (1-(k-1)/p) via prime zetas.
+def _tail_log(cutoff: int, k: int, terms: int = 60) -> tuple[float, float]:
+    """(log prod_{p>cutoff, p=3(4)} (1+1/p)^(k-1) (1-(k-1)/p), bound on what it drops).
 
     Series sum_m c_m sum_{p>cutoff} p^-m with c_m = ((k-1)(-1)^(m+1)-(k-1)^m)/m.
     The m=1 coefficient cancels; for small m the restricted prime zeta minus the
     explicit head is accurate, but the cancellation noise blows up with m (the
     difference shrinks like nextprime^-m while both terms are ~3^-m), so larger
-    m switch to a direct sum over an explicit prime window.
+    m switch to a direct sum over the primes up to TAIL_WINDOW.
+
+    The bound covers the two truncations: the primes above the window in every
+    direct m >= 4 term, and every term after the stopping m (|c_m| <=
+    ((k-1)^m + k-1)/m, the p^-m sums bounded over n = 3 mod 4 by _sum_bound).
+    Rounding and the prime zeta values' own error are not included.
     """
     if k == 1:
-        return 0.0
+        return 0.0, 0.0
     small = ep.primes_3mod4(cutoff).astype(float)
-    mid = ep.primes_3mod4(10**6).astype(float)
+    mid = ep.primes_3mod4(TAIL_WINDOW).astype(float)
     mid = mid[mid > cutoff]
-    total = 0.0
+    a_tail, a_window = (n + 1 + (2 - n) % 4 for n in (cutoff, max(cutoff, TAIL_WINDOW)))
+    total = dropped = 0.0
     for m in range(2, terms + 1):
         c_m = ((k - 1) * (-1) ** (m + 1) - float(k - 1) ** m) / m
         if c_m == 0.0:
@@ -246,11 +301,17 @@ def _tail_log(cutoff: int, k: int, terms: int = 60) -> float:
         else:
             with np.errstate(under="ignore"):
                 tail_pz = float(np.sum(mid ** -float(m)))
+            dropped += abs(c_m) * _sum_bound(a_window, m)
         term = c_m * tail_pz
         total += term
         if abs(term) < 1e-19 and m > 3:
             break
-    return total
+    # the terms after the loop's last m = M: for j > M, |c_j| _sum_bound(a, j) <=
+    # (1 + a/4M)/(M+1) ((k-1)^j + k-1) a^-j, which sums as two geometric series
+    r = (k - 1) / a_tail
+    dropped += ((1 + a_tail / (4 * m)) / (m + 1)
+                * (r ** (m + 1) / (1 - r) + (k - 1) * a_tail ** -(m + 1.0) / (1 - 1 / a_tail)))
+    return total, dropped
 
 
 def singular_series_general(D: TupleConfig, prime_cutoff: int = 50) -> SingularValue:
@@ -280,10 +341,10 @@ def _singular_series(D: TupleConfig, prime_cutoff: int) -> SingularValue:
                 break
         else:
             acc *= float(_closed_ratio(p, k))
-    tail = _tail_log(cutoff, k)
+    tail, dropped = _tail_log(cutoff, k)
     acc *= exp(tail)
-    # tail series truncation error is below float precision at these cutoffs
-    return SingularValue(acc, "local_density_product", cutoff, abs(tail) * 1e-15)
+    # |log error| <= dropped moves the value by at most acc (e^dropped - 1)
+    return SingularValue(acc, "local_density_product", cutoff, acc * expm1(dropped))
 
 
 def s0(D: TupleConfig, prime_cutoff: int = 50) -> float:
@@ -360,20 +421,17 @@ def weighted_sum_S(q: int, v: int | None, H: float, K: float,
     if H <= 0 or H > 10**6:
         raise ResourceError("H outside (0, 1e6] default budget")
     T = ceil(H * log(3 * H / rel_tol)) + 1
-    vals = _ck_array(T, K)[: T + 1]
-    h = np.arange(T + 1, dtype=float)
+    v0, step = (1, 1) if v is None else (v % q if v % q else q, q)
+    h = np.arange(v0, T + 1, step, dtype=float)  # the class only
     with np.errstate(under="ignore"):
         w = np.exp(-h / H)
     if k:
         w *= h**k
-    if v is None:
-        total = float(vals[1:] @ w[1:])
-        if subtract:
+    total = float(_ck_array(T, K)[v0:T + 1:step] @ w)
+    if subtract:
+        if v is None:
             total -= _weighted_geometric(1, 1, H, k) if k else exp_sums(2, 1, H)[0]
-    else:
-        v0 = v % q if v % q else q
-        total = float(vals[v0::q] @ w[v0::q])
-        if subtract:
+        else:
             total -= _weighted_geometric(q, v, H, k)
     return total
 

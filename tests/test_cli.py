@@ -131,6 +131,7 @@ def test_exit_code_2_on_bad_arguments(run):
 def test_exit_code_3_on_resource_limits(run):
     assert run("table", "--id", "6", "--h", "1e6")[0] == 3
     assert run("weighted-sum", "--v", "1", "--h", "1e7")[0] == 3
+    assert run("sieve-count", "--x", "1e16")[0] == 3  # above sieve.COUNT_VALUES_BUDGET
 
 
 def test_cache_env_var(run, tmp_path, monkeypatch):

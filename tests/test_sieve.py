@@ -1,5 +1,6 @@
 """Sieve correctness: exhaustive membership, segment independence, caching, pool."""
 
+import tracemalloc
 from concurrent.futures import Future
 from math import isqrt
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twosquares import progressions, refdata, sieve
-from twosquares.errors import ArgumentError
+from twosquares.errors import ArgumentError, ResourceError
 
 def brute_two_squares_set(limit: int) -> set:
     """{a^2 + b^2 <= limit}, by exhaustive double loop (independent oracle)."""
@@ -272,6 +273,29 @@ def test_corrupt_cache_files_are_recomputed(tmp_path):
     assert _sieve_total(x, segment_budget=budget, cache_dir=str(tmp_path)) == fresh
     for f in (truncated, flipped, old_format):  # rewritten intact
         sieve.SieveSegment.from_bytes(f.read_bytes())
+
+
+def test_count_memory_guard_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            sieve.count_up_to(10**16)  # |V| = 2 * 10^8 values x // k
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    r = isqrt(10**12)
+    assert r + 10**12 // r - 1 <= sieve.COUNT_VALUES_BUDGET  # the Table 2 counts still run
+
+
+def test_count_memory_guard_boundary(monkeypatch):
+    x = 10**6  # |V| = 1999
+    want = sieve.count_up_to(x)
+    monkeypatch.setattr(sieve, "COUNT_VALUES_BUDGET", 1999)
+    assert sieve.count_up_to(x) == want
+    monkeypatch.setattr(sieve, "COUNT_VALUES_BUDGET", 1998)
+    with pytest.raises(ResourceError):
+        sieve.count_up_to(x)
 
 
 def test_argument_errors():

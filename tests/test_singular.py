@@ -1,13 +1,13 @@
 """Singular series: pair closed form vs local-density product, weighted sums."""
 
 from fractions import Fraction
-from math import comb, exp, log
+from math import ceil, comb, exp, expm1, log
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosquares import constants, singular
+from twosquares import constants, eulerprod as ep, singular
 from twosquares.singular import TupleConfig
 from twosquares.errors import ArgumentError, ResourceError
 
@@ -38,6 +38,69 @@ def test_ck_values_vectorized():
         assert vals[h] == pytest.approx(singular.ck_singular_series(h, K), abs=1e-14)
 
 
+def ck_values_per_prime_power(T: int, K: float) -> np.ndarray:
+    """ck_values by one strided multiply per prime power, every prime alike."""
+    F = np.ones(T + 1)
+    fprev = 1.0
+    v = 1
+    while 2**v <= T:
+        f = 2 - 3 * 2.0**-v
+        F[2**v :: 2**v] *= f / fprev
+        fprev = f
+        v += 1
+    for p in ep.primes_3mod4(T).tolist():
+        fprev = 1.0
+        pk = p
+        v = 1
+        while pk <= T:
+            f = (1 - p ** -(v + 1.0)) / (1 - 1.0 / p)
+            F[pk::pk] *= f / fprev
+            fprev = f
+            pk *= p
+            v += 1
+    F /= 2 * K * K
+    F[0] = 0.0
+    return F
+
+
+@pytest.mark.parametrize("T", [1, 2, 3] + [p * p + e for p in (3, 7, 11, 43) for e in (-1, 0, 1)]
+                         + [10**5])
+def test_ck_values_equal_per_prime_power_loop(T):
+    # the primes above sqrt(T) are applied in one gather per cofactor; bit for bit the same
+    assert np.array_equal(singular.ck_values(T, K), ck_values_per_prime_power(T, K))
+
+
+def weighted_sum_full_array(q, v, H, K, rel_tol=1e-9, k=0, subtract=False):
+    """weighted_sum_S with the weights built over all of 0..T and then strided."""
+    T = ceil(H * log(3 * H / rel_tol)) + 1
+    vals = singular._ck_array(T, K)[: T + 1]
+    h = np.arange(T + 1, dtype=float)
+    with np.errstate(under="ignore"):
+        w = np.exp(-h / H)
+    if k:
+        w *= h**k
+    if v is None:
+        total = float(vals[1:] @ w[1:])
+        if subtract:
+            total -= singular._weighted_geometric(1, 1, H, k) if k else singular.exp_sums(2, 1, H)[0]
+    else:
+        v0 = v % q if v % q else q
+        total = float(vals[v0::q] @ w[v0::q])
+        if subtract:
+            total -= singular._weighted_geometric(q, v, H, k)
+    return total
+
+
+@pytest.mark.parametrize("q,H", [(5, 6.356), (5, 1000.0), (13, 100.0), (13, 2000.0)])
+def test_weighted_sum_S_equals_full_array_weights(q, H):
+    for v in [None, *range(q)]:
+        for k in (0, 1, 2):
+            for subtract in (False, True):
+                got = singular.weighted_sum_S(q, v, H, K, k=k, subtract=subtract)
+                assert got == weighted_sum_full_array(q, v, H, K, k=k, subtract=subtract), \
+                    (v, k, subtract)
+
+
 def test_singular_series_trivial_sizes():
     assert singular.singular_series_general(TupleConfig(())).value == 1.0
     assert singular.singular_series_general(TupleConfig((3,))).value == 1.0
@@ -54,6 +117,69 @@ def test_local_density_stabilizes_as_exact_rational():
     # and the stabilized value is consistent with a deep direct level
     deep = singular.local_density(2, d04, 20)
     assert abs(float(val) - float(deep)) < 1e-4
+
+
+def membership_by_valuation(p: int, alpha: int) -> np.ndarray:
+    """S_{p,alpha} over [0, p^alpha) from the p-adic valuation of each n."""
+    n = np.arange(p**alpha, dtype=np.int32)
+    val = np.zeros(n.size, dtype=np.int8)
+    m = n.copy()
+    m[0] = 1  # 0 is in no S_{p,alpha}
+    while np.any(m % p == 0):
+        div = m % p == 0
+        val[div] += 1
+        m[div] //= p
+    ok = (n > 0) & ((m % 4 == 1) & (val < alpha - 1) if p == 2 else (val % 2 == 0) & (val < alpha))
+    return ok
+
+
+def local_density_by_roll(ok, D):
+    hit = np.ones(ok.size, dtype=bool)
+    for d in D.offsets:
+        hit &= np.roll(ok, -d % ok.size)
+    return Fraction(int(np.count_nonzero(hit)), ok.size)
+
+
+def test_local_density_equals_roll_reference_on_ms_sum_path(monkeypatch):
+    visited = set()
+    real = singular.local_density
+
+    def record(p, D, alpha):
+        visited.add((p, D.offsets, alpha))
+        return real(p, D, alpha)
+
+    monkeypatch.setattr(singular, "local_density", record)
+    singular._singular_series.cache_clear()  # so every tuple goes through the densities again
+    singular.ms_sum(8, 3)
+    assert {p for p, _, _ in visited} == {2, 3, 7}
+    for p, alpha in sorted({(p, alpha) for p, _, alpha in visited}):
+        ok = membership_by_valuation(p, alpha)
+        for D in (TupleConfig(o) for q, o, a in visited if (q, a) == (p, alpha)):
+            assert real(p, D, alpha) == local_density_by_roll(ok, D), (p, D.offsets, alpha)
+
+
+def test_membership_memo_is_read_only_and_within_budget():
+    singular.local_density(2, TupleConfig((0, 4)), 20)
+    singular.stabilized_density(7, TupleConfig((0, 7, 14)))  # through level 8
+    assert (7, 8) in singular._MEMBERSHIP and (2, 20) in singular._MEMBERSHIP
+    tables = list(singular._MEMBERSHIP.values())
+    assert sum(t.size for t in tables) <= singular.DENSITY_BUDGET
+    for t in tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = True
+    assert np.array_equal(singular._membership(7, 4), membership_by_valuation(7, 4))
+
+
+def test_membership_memo_drops_least_recent_tables(monkeypatch):
+    monkeypatch.setattr(singular, "_MEMBERSHIP", {})
+    monkeypatch.setattr(singular, "DENSITY_BUDGET", 3**6 + 3**4)
+    for p, alpha in ((3, 6), (7, 2), (3, 6), (3, 4)):  # 3^6 + 7^2 + 3^4 is over
+        singular._membership(p, alpha)
+    assert list(singular._MEMBERSHIP) == [(3, 6), (3, 4)]
+    assert sum(t.size for t in singular._MEMBERSHIP.values()) <= singular.DENSITY_BUDGET
+    with pytest.raises(ResourceError):
+        singular._membership(3, 8)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 11])
@@ -76,6 +202,30 @@ def test_closed_tail_factor_matches_brute_force():
                 break
         brute = singular.stabilized_density(p, D) / singular.delta0(p) ** k
         assert brute == singular._closed_ratio(p, k), (p, D.offsets)
+
+
+def test_tail_bound_covers_the_terms_after_the_stopping_m():
+    # stopped at m = 5, the next terms (c_6 ~ -122 at k = 4) move the tail by ~1e-8
+    tail, dropped = singular._tail_log(50, 4, terms=5)
+    full, full_dropped = singular._tail_log(50, 4)
+    assert abs(tail) * 1e-15 < abs(full - tail) <= dropped
+    assert full_dropped < 1e-17
+
+
+def test_tail_bound_covers_primes_above_the_direct_window():
+    # a larger direct window (primes up to 10^7) against the bound and a placeholder
+    cutoff, k = 10**5, 4
+    tail, dropped = singular._tail_log(cutoff, k)
+    ps = ep.primes_3mod4(10**7)
+    ps = ps[ps > singular.TAIL_WINDOW].astype(float)
+    extra = 0.0
+    for m in range(4, 12):  # the sum stops at m = 5 here; the bound covers later m too
+        c_m = ((k - 1) * (-1) ** (m + 1) - float(k - 1) ** m) / m
+        extra += c_m * float(np.sum(ps ** -float(m)))
+    assert abs(tail) * 1e-15 < abs(extra) <= dropped
+    sv = singular.singular_series_general(TupleConfig((0, 1, 2, 3)), prime_cutoff=cutoff)
+    assert sv.value * abs(expm1(extra)) <= sv.tail_bound
+    assert sv.tail_bound == sv.value * expm1(dropped)
 
 
 def test_exp_sums_geometric_identities():
