@@ -34,13 +34,14 @@ def landau_ramanujan() -> float:
     """K = 2^{-1/2} prod_{p=3(4)} (1-p^-2)^{-1/2}, accelerated.
 
     Certified by a second evaluation whose direct product starts at exponent
-    128 instead of 64 (one more doubling level); the two must agree to 1e-10.
+    2 TAIL_FROM = 16 instead of 8 (one more doubling level); the two must
+    agree to 1e-10.
     """
     k1 = (2 * ep.ep3(2.0)) ** -0.5
-    k2 = (2 * np.exp(ep.log_ep3(2.0, _tail_from=128.0).real)) ** -0.5
+    k2 = (2 * np.exp(ep.log_ep3(2.0, _tail_from=2 * ep.TAIL_FROM).real)) ** -0.5
     if abs(k1 - k2) > 1e-10:
-        raise AccuracyError(f"direct product from u >= 64 vs 128 disagree: {k1} vs {k2}",
-                            partial=k1)
+        raise AccuracyError(f"direct product from u >= {ep.TAIL_FROM:g} vs {2 * ep.TAIL_FROM:g}"
+                            f" disagree: {k1} vs {k2}", partial=k1)
     return k1
 
 
@@ -90,7 +91,7 @@ def C_q_chi(q: int, chi: chars.Character) -> complex:
     if chi.parity == 1:  # even character: L(0, chi) = 0 exactly
         return 0j
     L0, L1 = chars.L_special(chi)
-    cross = chars.L_special(chi * chars.CHI4)[1]
+    cross = chars.L_special(chi.twisted)[1]
     c2 = chi(2)
     val = (
         L0
@@ -98,7 +99,7 @@ def C_q_chi(q: int, chi: chars.Character) -> complex:
         * (1 - c2 + chi(4))
         / _sqrt_pos(1 - c2 / 2, "(1-chi(2)/2)")
         / _sqrt_pos(cross, "L(1,chi*chi4)")
-        * cmath.exp(-0.5 * ep.log_ep3(2.0, chi.power(2)))
+        * cmath.exp(-0.5 * ep.log_ep3(2.0, chi.squared))
     )
     return val
 

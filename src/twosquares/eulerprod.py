@@ -5,8 +5,11 @@ for Re w > 1 (real or complex w), by the twisted doubling identity
     T_chi(w)^2 = T_{chi^2}(2w) L(w, chi chi4) / ((1 - chi(2) 2^-w) L(w, chi)),
 which holds prime by prime: (1 - c p^-w)^2 = (1 - c^2 p^-2w) (1 - c p^-w)/(1 + c p^-w).
 Each level halves the weight of the remaining product and doubles its exponent.
-Levels apply while 2^j w < 64; the remainder T_{chi^(2^J)}(2^J w) is the direct
-product over p < 1000, whose omitted primes contribute less than 1000^-63.
+Levels apply while 2^j w < 8 (three levels for w in (1, 2]); the remainder
+T_{chi^(2^J)}(2^J w) is the exact sum of log(1 - chi(p) p^-u) over p < 1000,
+whose omitted primes contribute less than 1000^(1-u)/(u-1) < 1e-21 at u >= 8.
+Every L-value of a level comes from characters.dirichlet_L, whose Hurwitz
+grid the characters of one modulus share.
 For the trivial chi the identity is T(w)^2 = T(2w) L(w, chi4) / ((1 - 2^-w) zeta(w)).
 
 Everything else is derived from it: ep3(w) = exp(log_ep3(w)); the prime sum
@@ -24,7 +27,7 @@ import numpy as np
 from . import characters as chars
 from .errors import ArgumentError
 
-TAIL_FROM = 64.0  # the direct product starts at exponent u >= TAIL_FROM
+TAIL_FROM = 8.0  # the direct product starts at exponent u >= TAIL_FROM
 TAIL_PRIMES = 1000  # ... over the primes p < TAIL_PRIMES
 
 _MOBIUS = {}
@@ -75,16 +78,16 @@ def _log_levels(w, chi: chars.Character, J: int):
     total = 0j
     u = w
     for j in range(J):
-        level = (np.log(chars.dirichlet_L(u, chi * chars.CHI4)) - np.log(chars.dirichlet_L(u, chi))
+        level = (np.log(chars.dirichlet_L(u, chi.twisted)) - np.log(chars.dirichlet_L(u, chi))
                  - np.log1p(-chi(2) * 2.0 ** (-u)))
         total = total + level / 2 ** (j + 1)
-        u, chi = 2 * u, chi.power(2)
+        u, chi = 2 * u, chi.squared
     ps = primes_3mod4(TAIL_PRIMES)
-    c = np.array([chi(int(p)) for p in ps])
-    # |chi(p) p^-u| <= 3^-64 here, so log(1 - z) = -z to within |z|^2
     with np.errstate(under="ignore"):
-        tail = -(c @ np.power.outer(ps.astype(float), -np.asarray(u)))
-    return total + tail / 2**J
+        z = -chi.array[ps % chi.modulus, None] * np.power.outer(ps.astype(float), -np.ravel(u))
+    # log(1 + z) term by term: |z| <= 3^-8 here, where numpy's complex log1p loses digits
+    log1p = 0.5 * np.log1p(2 * z.real + np.abs(z) ** 2) + 1j * np.arctan2(z.imag, 1 + z.real)
+    return total + np.reshape(log1p.sum(axis=0), np.shape(u)) / 2**J
 
 
 def log_ep3(w, chi: chars.Character = chars.TRIVIAL, _tail_from: float = TAIL_FROM):
@@ -118,12 +121,11 @@ def ep3(w):
 def dirichlet_chi4(s):
     """L(s, chi4) = 4^-s (zeta(s,1/4) - zeta(s,3/4)), scalar or array, real or complex s.
 
-    The two Hurwitz poles at s = 1 cancel analytically (pole_difference), so
-    the value keeps full relative accuracy next to and at s = 1.
+    characters.dirichlet_L cancels the two Hurwitz poles at s = 1 analytically,
+    so the value keeps full relative accuracy next to and at s = 1.  Real for real s.
     """
-    r1, w1 = chars.hurwitz_regular(s, 0.25)
-    r3, w3 = chars.hurwitz_regular(s, 0.75)
-    return 4.0 ** (-s) * (r1 - r3 + chars.pole_difference(s, w1, w3))
+    v = chars.dirichlet_L(s, chars.CHI4)
+    return v if np.iscomplexobj(s) else np.real(v)
 
 
 @lru_cache(maxsize=None)

@@ -22,10 +22,16 @@ Three integrals over sigma in (1/2 + eps, 1), all with an endpoint factor
               H^{sigma-1} / |sigma-1|^{1/2},
     with the variant F(s) = zeta(s-1) M(s-1) [(s-1) zeta(s)]^{1/2} / s.
 
-F' is a complex step of F (the evaluators accept complex s; Gamma' = Gamma psi),
-so it is as accurate as F itself; near 1/2 it blows up like
-(sigma - 1/2)^{-5/4}, so the v=0 and k-tuple integrals depend visibly on eps,
-which is always reported alongside the value.
+F and F' come from one evaluation of the core of F at the complex step
+sigma + ih (the evaluators accept complex s; Gamma' = Gamma psi): its real part
+is the core and its imaginary part over h the core's derivative, so F' is as
+accurate as F itself.  Near 1/2, F' blows up like (sigma - 1/2)^{-5/4}, so the
+v=0 and k-tuple integrals depend visibly on eps, which is always reported
+alongside the value.
+
+The nodes come in panels, and the sigma-only factors (G_fn and the core of F)
+are memoized per panel: the upper panel (3/4, 1) does not depend on eps, so
+every eps, x, H and q shares its evaluation.
 """
 
 from __future__ import annotations
@@ -66,16 +72,15 @@ class QuadratureConfig:
 # special functions on the interval (1/2, 1] (and next to it, for complex steps)
 
 _gamma = np.vectorize(gamma, otypes=[float])  # node arrays hold a few hundred points
-_digamma = np.vectorize(chars.digamma, otypes=[float])
 
 
 def _node_memo(fn):
     """fn memoized on the node array it is given; scalars pass straight through.
 
-    The factors below do not depend on x, H or q, so every integral (and the
-    complex step of F') on the same nodes shares one evaluation.  Keyed on the
-    array's bytes, shape and dtype (real nodes and their complex steps differ);
-    the cached arrays are read-only.
+    The factors below do not depend on x, H or q, so every integral on the
+    same panel of nodes shares one evaluation.  Keyed on the array's bytes,
+    shape and dtype (real nodes and their complex steps differ); the cached
+    arrays are read-only.
     """
     @lru_cache(maxsize=256)
     def cached(buf: bytes, shape: tuple, dtype: np.dtype):
@@ -116,14 +121,20 @@ def _core(s):
     return chars.zeta_real(s - 1) * constants._M_of_s(s - 1) * np.sqrt(reg)
 
 
+def _core_step(s):
+    """(core(s), core'(s)) at real s from one evaluation of core at s + ih (complex step)."""
+    c = _core(s + 1j * chars.COMPLEX_STEP)
+    return np.real(c), np.imag(c) / chars.COMPLEX_STEP
+
+
 def F_gamma(s):
     """F(s) with the Gamma(s) normalization (weighted-sum integrals)."""
-    return _core(s) * _gamma(s)
+    return _core_step(s)[0] * _gamma(s)
 
 
 def F_inv(s):
     """F(s) with the 1/s normalization (k-tuple average integral)."""
-    return _core(s) / s
+    return _core_step(s)[0] / s
 
 
 def A_q(s, q: int):
@@ -136,13 +147,15 @@ def F_chi0(s, q: int):
 
 
 def F_gamma_prime(s):
-    """F_gamma'(s) = (core'(s) + core(s) psi(s)) Gamma(s), core' by a complex step."""
-    return (chars.complex_step(_core, s) + _core(s) * _digamma(s)) * _gamma(s)
+    """F_gamma'(s) = (core'(s) + core(s) psi(s)) Gamma(s)."""
+    core, d_core = _core_step(s)
+    return (d_core + core * chars.digamma(s)) * _gamma(s)
 
 
 def F_inv_prime(s):
-    """F_inv'(s) by a complex step of core(s)/s."""
-    return chars.complex_step(F_inv, s)
+    """F_inv'(s) = core'(s)/s - core(s)/s^2."""
+    core, d_core = _core_step(s)
+    return (d_core - core / s) / s
 
 
 # ---------------------------------------------------------------------------
@@ -156,39 +169,34 @@ def _gl_nodes(n: int, lo: float, hi: float):
 
 
 def _panel_nodes(eps: float, n: int):
-    """Nodes/weights for int_{1/2+eps}^1 fn(sigma)/|sigma-1|^{1/2} d sigma.
+    """Panels of (nodes, weights) for int_{1/2+eps}^1 fn(sigma)/|sigma-1|^{1/2} d sigma.
 
     Upper panel (3/4, 1): sigma = 1 - u^2 removes the explicit endpoint factor.
     Lower panel (1/2+eps, 3/4]: plain Gauss-Legendre when eps > 0; for eps = 0
     the substitution sigma = 1/2 + t^4 absorbs the integrand's own
-    (sigma - 1/2)^{-1/4}-type growth at the left endpoint.
+    (sigma - 1/2)^{-1/4}-type growth at the left endpoint.  The upper panel
+    does not depend on eps, so the node memos serve it to every eps.
     """
     if eps >= 0.25:  # no lower panel; one substituted panel reaches 1/2+eps
         u, wu = _gl_nodes(n, 0.0, sqrt(0.5 - eps))
-        return 1 - u * u, 2 * wu
+        return [(1 - u * u, 2 * wu)]
     u, wu = _gl_nodes(n, 0.0, 0.5)
-    sig = 1 - u * u
-    w = 2 * wu
+    upper = (1 - u * u, 2 * wu)
     if eps > 0:
         s2, w2 = _gl_nodes(n, 0.5 + eps, 0.75)
-        sig = np.concatenate([sig, s2])
-        w = np.concatenate([w, w2 / np.sqrt(1 - s2)])
-    else:
-        t, wt = _gl_nodes(n, 0.0, 0.25**0.25)
-        # clamp: t^4 below ~1e-13 is lost to rounding in 0.5 + t^4 and the
-        # evaluators need sigma > 1/2 strictly; the skipped mass is O(1e-10)
-        s2 = np.maximum(0.5 + t**4, 0.5 + 1e-13)
-        sig = np.concatenate([sig, s2])
-        w = np.concatenate([w, 4 * t**3 * wt / np.sqrt(1 - s2)])
-    return sig, w
+        return [upper, (s2, w2 / np.sqrt(1 - s2))]
+    t, wt = _gl_nodes(n, 0.0, 0.25**0.25)
+    # clamp: t^4 below ~1e-13 is lost to rounding in 0.5 + t^4 and the
+    # evaluators need sigma > 1/2 strictly; the skipped mass is O(1e-10)
+    s2 = np.maximum(0.5 + t**4, 0.5 + 1e-13)
+    return [upper, (s2, 4 * t**3 * wt / np.sqrt(1 - s2))]
 
 
 def _integrate(fn, eps: float, nodes: int) -> float:
     """int_{1/2+eps}^1 fn(sigma)/|sigma-1|^{1/2} d sigma, node-doubling checked."""
 
     def total(n: int) -> float:
-        sig, w = _panel_nodes(eps, n)
-        return float(np.dot(w, fn(sig)))
+        return float(sum(np.dot(w, fn(sig)) for sig, w in _panel_nodes(eps, n)))
 
     coarse, fine = total(nodes), total(2 * nodes)
     if abs(fine - coarse) > REL_TARGET * max(abs(fine), 1e-300):

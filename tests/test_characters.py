@@ -54,7 +54,7 @@ def test_hurwitz_vectorized_matches_scalar():
 
 
 def test_hurwitz_scalar_types_share_the_memo():
-    # np.float64 and 0-d arrays are scalars: same value (and same memo entry) as a float
+    # np.float64 and 0-d arrays are scalars: same value and type as a float
     want = chars.hurwitz(2.5)
     assert chars.hurwitz(np.float64(2.5)) == want
     assert chars.hurwitz(np.array(2.5)) == want
@@ -63,6 +63,13 @@ def test_hurwitz_scalar_types_share_the_memo():
     assert isinstance(z, complex) and chars.hurwitz(np.array(2.5 + 0.5j), 0.25) == z
     assert isinstance(chars.hurwitz(2.5 + 0j), complex)
     assert type(chars.hurwitz(2.5)) is float
+    # ... and one entry of dirichlet_L's grid memo; a float never gets a complex grid
+    chi = chars.character_table(5).characters[1]
+    chars._L_grid.cache_clear()
+    v = chars.dirichlet_L(2.5, chi)
+    assert chars.dirichlet_L(np.float64(2.5), chi) == v == chars.dirichlet_L(np.array(2.5), chi)
+    assert chars._L_grid.cache_info().currsize == 1
+    assert chars._L_grid(2.5, 5).dtype == float and chars._L_grid(2.5 + 0j, 5).dtype == complex
 
 
 def test_hurwitz_derivative():
@@ -82,6 +89,32 @@ def test_hurwitz_complex_matches_mpmath(s):
         tol = 1e-13 * max(1.0, abs(want))
         assert abs(chars.hurwitz(s, a) - want) < tol
         assert abs(chars.hurwitz(np.array([s]), a)[0] - want) < tol
+
+
+# the (s, a) grid behind every L-value: real s from the package's lowest
+# argument (zeta(s-1), s > 1/2) to deep levels, complex s, and a from 1/(4q)
+GRID_S = [-0.5, -0.25, 0.0, 0.3, 0.5, 0.75, 0.999, 1.001, 1.5, 2.0, 3.0, 5.5, 8.0, 16.0,
+          25.0, 40.0, 0.5 + 2j, -0.4 + 1j, 2.5 - 0.7j, 1 + 0.25j, 0.25j, 8 + 5j, 20 - 10j]
+GRID_A = [1 / 404, 1 / 13, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 403 / 404]
+
+
+def test_hurwitz_grid_matches_mpmath():
+    grid = chars._euler_maclaurin(np.array(GRID_S), np.array(GRID_A))
+    assert grid.shape == (len(GRID_S), len(GRID_A))
+    for i, s in enumerate(GRID_S):
+        for j, a in enumerate(GRID_A):
+            want = complex(mp.zeta(s, a))
+            assert abs(grid[i, j] - want) < 1e-13 * max(1.0, abs(want)), (s, a)
+
+
+@pytest.mark.parametrize("x", [-0.5, -0.3, 0.3, 0.75, 1.2, 2.0, 8.0, 40.0])
+def test_hurwitz_grid_complex_step_matches_mpmath(x):
+    # zeta(x + ih, a) = zeta(x, a) + ih zeta'(x, a): both parts from one grid
+    grid = chars._euler_maclaurin(np.array([x + 1j * chars.COMPLEX_STEP]), np.array(GRID_A))
+    for j, a in enumerate(GRID_A):
+        want, dwant = float(mp.zeta(x, a)), float(mp.zeta(x, a, derivative=1))
+        assert abs(grid[0, j].real - want) < 1e-13 * max(1.0, abs(want)), a
+        assert abs(grid[0, j].imag / chars.COMPLEX_STEP - dwant) < 1e-13 * max(1.0, abs(dwant)), a
 
 
 @pytest.mark.parametrize("d", [1e-5, -1e-5, 1e-9, -1e-9, 1e-11, -1e-11])
@@ -106,8 +139,12 @@ def test_zeta_regularized_smooth_at_one():
 
 
 def test_digamma_matches_mpmath():
-    for x in (0.1, 0.5, 1.0, 2.5, 25.0):
+    xs = (0.1, 0.5, 1.0, 2.5, 25.0)
+    for x, v in zip(xs, chars.digamma(np.array(xs))):
         assert abs(chars.digamma(x) - float(mp.digamma(x))) < 1e-12
+        # the array path shifts each entry as the scalar path does; numpy's vector
+        # log may differ from the scalar one in the last bit
+        assert v == pytest.approx(chars.digamma(x), rel=1e-15, abs=1e-15)
 
 
 @pytest.mark.parametrize("q", [5, 13, 17, 29])
@@ -119,6 +156,50 @@ def test_L_special_consistent_with_dirichlet_L(q):
         # s=1 by one-sided continuity of the Hurwitz decomposition
         near = chars.dirichlet_L(1.0 + 1e-7, chi)
         assert abs(L1 - near) < 1e-5
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_dirichlet_L_at_and_next_to_one(q):
+    # sum chi(a) = 0 turns the Hurwitz poles into pole differences: no cancellation
+    tab = chars.character_table(q)
+    for chi in tab.non_principal():
+        L1 = chars.L_special(chi)[1]
+        assert abs(chars.dirichlet_L(1 + 1e-12, chi) - L1) < 1e-11
+        assert chars.dirichlet_L(np.array([1.0, 2.0]), chi)[0] == pytest.approx(L1, abs=1e-14)
+        assert chars.dirichlet_L(1.0, chi) == pytest.approx(L1, abs=1e-14)
+    with pytest.raises(ArgumentError):
+        chars.dirichlet_L(1.0, tab.principal)
+    with pytest.raises(ArgumentError):
+        chars.dirichlet_L(np.array([1.0, 2.0]), tab.principal)
+
+
+def _exact_value(v, order: int):
+    """The order-th root of unity (or 0) that the binary64 table entry v stands for."""
+    if v == 0:
+        return mp.mpf(0)
+    return mp.expjpi(mp.mpf(2 * (round(cmath.phase(v) * order / (2 * cmath.pi)) % order)) / order)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 0.75, 1 - 1e-12, 1 + 1e-12, 2.0, 4.0,
+                               1.5 + 2j, 0.5 - 3j])
+def test_dirichlet_L_matches_mpmath_hurwitz_sum(s):
+    # every character mod 13 and mod 52 = 4 * 13 (chi chi4 and chi times the principal
+    # character mod 4), against M^-s sum chi(a) zeta(s, a/M) with exact roots of unity;
+    # near s = 1 the mpmath sum keeps 30 - 12 digits
+    tab = chars.character_table(13)
+    principal4 = chars.Character(4, (0j, 1 + 0j, 0j, 1 + 0j))
+    family = [*tab.characters, *(chi.twisted for chi in tab.characters),
+              *(chi * principal4 for chi in tab.characters)]
+    hurwitz = {M: [mp.zeta(s, mp.mpf(a) / M) for a in range(1, M)] for M in (13, 52)}
+    tol = 1e-12 if np.real(s) < 0 else 1e-13  # the Euler-Maclaurin remainder grows like 19^(1-s)
+    for chi in family:
+        if chi.is_principal and abs(s - 1) < 1e-6:
+            continue
+        M = chi.modulus
+        want = complex(mp.power(M, -s) * mp.fsum(_exact_value(v, 12) * z
+                                                 for v, z in zip(chi.values[1:], hurwitz[M])))
+        assert abs(chars.dirichlet_L(s, chi) - want) < tol * max(1.0, abs(want))
+        assert abs(chars.dirichlet_L(np.array([s]), chi)[0] - want) < tol * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("q", [5, 13])

@@ -112,6 +112,10 @@ def test_prime_zeta_3mod4_matches_direct_sum():
     for s in (2.0, 3.0):
         direct = float(np.sum(ep.primes_3mod4(10**7).astype(float) ** -s))
         assert ep.prime_zeta_3mod4(s) == pytest.approx(direct, abs=1e-7)
+    # to rounding: the singular-series tail that uses P3 certifies bounds near 1e-18
+    for s in (2.0, 3.0, 4.0):
+        want = float(oracles.prime_zeta_3mod4(s))
+        assert ep.prime_zeta_3mod4(s) == pytest.approx(want, rel=1e-14)
 
 
 def beta1_direct(prime_bound: int = 10**6):

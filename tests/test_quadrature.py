@@ -32,21 +32,32 @@ def test_G_positive_on_range():
 
 
 def test_node_memo_arrays_are_read_only():
-    sig, _ = quadrature._panel_nodes(0.02, 8)
-    for fn in (quadrature._core, quadrature.G_fn):
-        out = fn(sig)
-        assert np.array_equal(out, fn.__wrapped__(sig))  # the unmemoized evaluation
-        assert not out.flags.writeable
-        assert fn(sig.copy()) is out  # keyed on the values, not the array object
-        with pytest.raises(ValueError):
-            out[0] = 0.0
+    panels = quadrature._panel_nodes(0.02, 8)
+    assert len(panels) == 2
+    for sig, _ in panels:
+        # the core is evaluated at the complex step of the nodes, G at the nodes
+        for fn, x in ((quadrature._core, sig + 1j * chars.COMPLEX_STEP), (quadrature.G_fn, sig)):
+            out = fn(x)
+            assert np.array_equal(out, fn.__wrapped__(x))  # the unmemoized evaluation
+            assert not out.flags.writeable
+            assert fn(x.copy()) is out  # keyed on the values, not the array object
+            with pytest.raises(ValueError):
+                out[0] = 0.0
+
+
+def test_upper_panel_is_shared_across_epsilon():
+    # the (3/4, 1) panel does not depend on eps, so its node memo entry serves every eps
+    uppers = [quadrature._panel_nodes(eps, 8)[0] for eps in (0.0, 0.01, 0.02, 0.05)]
+    for sig, w in uppers[1:]:
+        assert np.array_equal(sig, uppers[0][0]) and np.array_equal(w, uppers[0][1])
+    assert quadrature.G_fn(uppers[1][0]) is quadrature.G_fn(uppers[2][0])
 
 
 def test_memos_are_exact():
     # every memo returns what a fresh evaluation returns, bit for bit
     quadrature.integral_S(5, 0, 100)
     before = quadrature.integral_S(5, 0, 100)  # served from the filled memos
-    for memo in (quadrature._core, quadrature.G_fn, chars._hurwitz_scalar,
+    for memo in (quadrature._core, quadrature.G_fn, chars._L_grid,
                  constants._p_taylor):
         memo.cache_clear()
     assert quadrature.integral_S(5, 0, 100) == before
