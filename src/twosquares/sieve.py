@@ -7,8 +7,11 @@ sieved concurrently and merged.
 
 Marking is vectorized, so no Python loop runs per a and the cost per entry
 stays nearly flat in height: on one core of a 2-vCPU Xeon VM a 2^26 segment
-takes about 4 ns per entry near 0 and 8 ns near 10^12.  A segment is marked
-in windows of max(2^20, 16 sqrt(hi)) entries, rounded up to a power of two.
+takes about 3 ns per entry near 0 and 4-6 ns near 10^12.  A segment is marked
+in windows of max(2^20, 16 sqrt(hi)) entries, rounded up to a power of two,
+each into one reused bool buffer that is then packed into the segment's
+words, so a segment holds one bit per integer from the start: 8 MB per 2^26
+entries, plus the buffer (1 MB up to hi = 2^32, 16 MB near 10^12).
 Per window, one numpy pass finds for every row a the first b whose a^2 + b^2
 lies in the window (a float sqrt with an exact +-1 integer correction).
 Marking then runs column by column: each step marks the current b of every
@@ -18,10 +21,13 @@ about 2 sqrt(hi) wide instead of across the whole window.
 With threads > 1 the segments are sieved in a process pool that keeps at most
 `threads` segments in flight.  The statistics of `progressions` reduce inside
 the workers, so a small reducer state travels back per segment;
-`iter_segments` returns the bitsets.
+`iter_segments` returns the packed segments, 8 MB each per 2^26 entries.
 
-The optional per-segment cache stores each bitset with its length and a zlib
-CRC32; a truncated, corrupt or old-format file is recomputed and rewritten.
+The optional per-segment cache file holds a segment's packed words as they are
+in memory, after a header with its bounds, the payload length and a zlib CRC32:
+a miss writes the words with no copy, and a hit checks the CRC and wraps the
+file's bytes.  A truncated, corrupt or old-format file is recomputed and
+rewritten.
 
 `count_up_to` does not sieve.  The indicator of E is multiplicative, so its
 sum to x is a Lucy + min_25 sum over the 2 sqrt(x) values x // k, in int64
@@ -65,31 +71,48 @@ _CACHE_HEADER = struct.Struct("<5sQQQI")  # magic, lo, hi, payload bytes, CRC32 
 
 @dataclass(frozen=True)
 class SieveSegment:
-    """Bitset over [lo, hi]; bits[i] <=> lo + i in E."""
+    """Packed bitset over [lo, hi]: bit i of `words`, in little bit order, <=> lo + i in E.
+
+    `words` is uint8, (n + 63) // 64 * 8 bytes for the n = hi - lo + 1 entries,
+    with the padding bits zero.  That is the S2SQ2 cache payload (little-endian
+    64-bit words), so a segment is one bit per integer when it is marked,
+    pickled by the pool, written to the cache and read back.
+    """
 
     lo: int
     hi: int
-    bits: np.ndarray  # bool array of length hi - lo + 1
+    words: np.ndarray
+
+    @property
+    def bits(self) -> np.ndarray:
+        """bits[i] <=> lo + i in E: a bool array of length hi - lo + 1, unpacked on each access."""
+        return np.unpackbits(self.words, bitorder="little", count=self.hi - self.lo + 1).view(bool)
 
     def count(self, include_zero: bool = False) -> int:
-        n = int(np.count_nonzero(self.bits))
-        if not include_zero and self.lo == 0 and self.bits[0]:
+        n = int(np.bitwise_count(self.words.view(np.uint64)).sum())
+        if not include_zero and self.lo == 0 and self.words[0] & 1:
             n -= 1
         return n
 
     def values(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Ascending int64 E-elements lo + i, start <= i < stop (default: the whole segment)."""
-        return np.flatnonzero(self.bits[start:stop]) + (self.lo + start)
+        start, stop, _ = slice(start, stop).indices(self.hi - self.lo + 1)
+        if start >= stop:
+            return np.empty(0, dtype=np.int64)
+        first = start >> 3  # unpack only the bytes that cover [start, stop)
+        bits = np.unpackbits(self.words[first:(stop + 7) >> 3], bitorder="little").view(bool)
+        return np.flatnonzero(bits[start - 8 * first:stop - 8 * first]) + (self.lo + start)
+
+    def _header(self) -> bytes:
+        return _CACHE_HEADER.pack(_CACHE_MAGIC, self.lo, self.hi, self.words.size,
+                                  zlib.crc32(self.words))
 
     def to_bytes(self) -> bytes:
-        words = np.packbits(self.bits, bitorder="little").tobytes()
-        words += b"\0" * ((-len(words)) % 8)  # little-endian 64-bit words, low bit = lo
-        return _CACHE_HEADER.pack(_CACHE_MAGIC, self.lo, self.hi, len(words),
-                                  zlib.crc32(words)) + words
+        return self._header() + self.words.tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SieveSegment":
-        """Decode `to_bytes` output; ArgumentError if it is truncated, corrupt or another format."""
+        """Decode `to_bytes` output, no copy; ArgumentError if truncated, corrupt or not S2SQ2."""
         if len(blob) < _CACHE_HEADER.size:
             raise ArgumentError("cache blob shorter than its header")
         magic, lo, hi, size, crc = _CACHE_HEADER.unpack_from(blob)
@@ -99,10 +122,9 @@ class SieveSegment:
         n = hi - lo + 1
         if n < 1 or size != (n + 63) // 64 * 8 or len(words) != size or zlib.crc32(words) != crc:
             raise ArgumentError(f"corrupt cache blob for [{lo}, {hi}]")
-        bits = np.unpackbits(
-            np.frombuffer(words, dtype=np.uint8), bitorder="little", count=n
-        ).view(bool)
-        return cls(lo, hi, bits)
+        if int.from_bytes(words[-8:], "little") >> ((n - 1) % 64 + 1):  # count() would see them
+            raise ArgumentError(f"cache blob for [{lo}, {hi}] sets bits past hi")
+        return cls(lo, hi, np.frombuffer(words, dtype=np.uint8))
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -172,11 +194,18 @@ def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) 
         raise ArgumentError("hi must be < 2^62")
     if hi - lo + 1 > segment_budget:
         raise ResourceError(f"segment of {hi - lo + 1} entries exceeds budget {segment_budget}")
-    bits = np.zeros(hi - lo + 1, dtype=bool)
-    step = _window_size(hi)
+    n = hi - lo + 1
+    words = np.zeros((n + 63) // 64 * 8, dtype=np.uint8)
+    step = _window_size(hi)  # a power of two >= 2^20, so each window starts on a byte
+    window = np.zeros(min(step, n), dtype=bool)
     for start in range(lo, hi + 1, step):
-        _mark(bits[start - lo:start - lo + step], start)
-    return SieveSegment(lo, hi, bits)
+        if start > lo:
+            window.fill(False)
+        bits = window[:hi - start + 1]
+        _mark(bits, start)
+        at = (start - lo) >> 3
+        words[at:at + (bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
+    return SieveSegment(lo, hi, words)
 
 
 def _segment_ranges(lo: int, hi: int, segment_budget: int):
@@ -200,7 +229,8 @@ def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None
     os.makedirs(cache_dir, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(seg.to_bytes())
+        fh.write(seg._header())
+        fh.write(seg.words)
     os.replace(tmp, path)  # checkpoint per segment so interrupted runs resume
     return seg
 

@@ -21,7 +21,7 @@ def bundle():
 def stats_1e9():
     """(singles, pairs) residue matrices at x = 10^9, q = 5, one sieve pass.
 
-    One worker per CPU: the pool keeps at most that many 64 MB segments in
-    flight, so the parent's memory does not grow with x.
+    One worker per CPU: the pool keeps at most that many segments (8 MB each,
+    packed) in flight, so the parent's memory does not grow with x.
     """
     return progressions.residue_pair_stats(10**9, 5, threads=os.cpu_count() or 1)

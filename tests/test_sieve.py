@@ -1,6 +1,8 @@
 """Sieve correctness: exhaustive membership, segment independence, caching, pool."""
 
+import struct
 import tracemalloc
+import zlib
 from concurrent.futures import Future
 from math import isqrt
 
@@ -186,6 +188,51 @@ def test_segment_matches_reference_loop(lo, hi):
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
 
 
+PACKED_SEGMENTS = [
+    (0, 0), (0, 99), (5, 5 + 103), (10**9, 10**9 + 63), (10**9, 10**9 + 64),
+    (10**9 + 3, 10**9 + 4099), (0, 3 * 2**20 + 17),  # the last: four windows, the last short
+]
+
+
+def _golden_blob(lo, hi):
+    """The S2SQ2 bytes of [lo, hi] built from the reference loop: header, then packed bits."""
+    words = np.packbits(reference_segment(lo, hi), bitorder="little").tobytes()
+    words += b"\0" * (-len(words) % 8)
+    return struct.pack("<5sQQQI", b"S2SQ2", lo, hi, len(words), zlib.crc32(words)) + words
+
+
+@pytest.mark.parametrize("lo, hi", PACKED_SEGMENTS)
+def test_packed_segment_matches_reference(lo, hi):
+    # lengths 1, 100, 104, 64, 65, 4097 and 3 * 2^20 + 18: not 0 mod 8, 0 mod 8 only, 0 mod 64
+    ref = reference_segment(lo, hi)
+    seg = sieve.sieve_segment(lo, hi)
+    blob = seg.to_bytes()
+    assert blob == _golden_blob(lo, hi)  # cache files written before stay valid hits
+    decoded = sieve.SieveSegment.from_bytes(blob)
+    n = hi - lo + 1
+    windows = [w for w in (2**20, 2**21, 3 * 2**20) if w < n]
+    edges = {0, 1, 7, 8, 9, 63, 64, 65, n - 8, n - 1, n, *windows}
+    ranges = {(max(a, 0), min(b, n)) for e in edges for a, b in
+              ((e - 9, e + 9), (e - 1, e + 1), (e, e + 8), (e - 65, e), (0, e), (e, n))}
+    for s in (seg, decoded):
+        assert s.count(include_zero=True) == int(ref.sum())
+        assert s.count() == int(ref.sum()) - (lo == 0)
+        assert np.array_equal(s.bits, ref)
+        assert np.array_equal(s.values(), np.flatnonzero(ref) + lo)
+        for start, stop in ranges:  # across byte, word and window edges
+            want = np.flatnonzero(ref[start:stop]) + lo + start
+            assert np.array_equal(s.values(start, stop), want), (start, stop)
+
+
+def test_set_padding_bit_is_rejected():
+    blob = bytearray(sieve.sieve_segment(0, 99).to_bytes())  # 100 entries in two 64-bit words
+    blob[-1] |= 0x80  # bit 127, past the last entry
+    words = bytes(blob[33:])  # after the 33-byte header, whose last 4 bytes are the CRC
+    blob[29:33] = struct.pack("<I", zlib.crc32(words))  # a consistent CRC: not a flipped byte
+    with pytest.raises(ArgumentError):
+        sieve.SieveSegment.from_bytes(bytes(blob))
+
+
 def test_pool_keeps_at_most_threads_segments_in_flight(monkeypatch):
     uncollected, peak = set(), [0]
 
@@ -273,6 +320,21 @@ def test_corrupt_cache_files_are_recomputed(tmp_path):
     assert _sieve_total(x, segment_budget=budget, cache_dir=str(tmp_path)) == fresh
     for f in (truncated, flipped, old_format):  # rewritten intact
         sieve.SieveSegment.from_bytes(f.read_bytes())
+
+
+def test_pair_stats_peak_memory_is_below_a_third_of_a_byte_per_integer(tmp_path):
+    # the parent's own peak, numpy arrays included, on the pass that sieves and
+    # writes the cache and on the pass that reads it; one byte per entry was 1.5 x
+    x = 2**24
+    for cached in (False, True):
+        assert bool(list(tmp_path.iterdir())) == cached
+        tracemalloc.start()
+        try:
+            progressions.residue_pair_stats(x, 5, segment_budget=2**24, cache_dir=str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x / 3, (cached, peak)
 
 
 def test_count_memory_guard_raises_before_allocating():
