@@ -5,12 +5,19 @@ histograms come from one mergeable reducer over the windows of r consecutive
 E-elements that start at or below x (successors may exceed x; they come from the
 sieve overshoot window).  Each segment is reduced in blocks of BLOCK entries, in
 the pool workers when threads > 1; the parent merges the states in segment order.
+
+The residue statistics never form an E-element: each block's residues mod q
+come straight from the segment's packed bits (`SieveSegment.residues`, uint8
+codes for q <= 256, uint16 up to 65,536), and a window's key is built in the
+smallest unsigned dtype that holds q^r cells.  Only the gap histogram reads
+int64 values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import pairwise
 
 import numpy as np
 
@@ -19,12 +26,12 @@ from .characters import check_modulus
 from .errors import ArgumentError, ResourceError, TruncatedStreamError
 
 DENSE_CELLS_LIMIT = 5 * 10**7  # refuse q^r tables larger than this
-# Bitset entries per values() call.  Each block's temporaries (about 1.5 MB at
-# 2^20) are freed before the next; with no large array left on the heap glibc
-# trims it and faults them back every block: stats-cache took 51k minor faults
-# and 0.11-0.13 s of system CPU at 2^20, against 3.4-3.9k and 0.02 s at 2^17.
-# 2^16, 2^17 and 2^18 cost the same CPU within noise (1.04 / 1.01 / 0.99 s),
-# and 2^18 peaks 1.6 MB higher.
+# Bitset entries per residues() or values() call.  Each block's temporaries are
+# freed before the next; with no large array left on the heap glibc trims it and
+# faults them back every block.  The four stats-cache passes in one process,
+# three runs each: 2^16, 2^17 and 2^18 cost the same CPU within noise (0.65-0.79 /
+# 0.60-0.85 / 0.65-0.71 s) and peak at 40.7 / 41.1 / 42.5 MB; 2^20 takes twice
+# the minor faults of 2^17 (7.3k against 3.4k) and peaks at 48.3 MB.
 BLOCK = 1 << 17
 
 
@@ -52,56 +59,85 @@ class ResidueCountMatrix:
 class _Reducer:
     """Counts of the windows of r consecutive fed elements whose first element is <= x.
 
-    Keyed by residues mod q (q^r cells) or, with q None and r = 2, by gap.  The first
-    and the last r-1 elements fed (all, if fewer) are kept so adjacent runs merge exactly.
+    Keyed by residues mod q (q^r cells) or, with q None and r = 2, by gap.  With q,
+    the reducer is fed residue codes (`SieveSegment.residues`), never values, and
+    builds each window's key in the smallest unsigned dtype that holds q^r cells;
+    with q None it is fed values.  Each run comes with the number of its elements
+    that are <= x: those elements form a prefix of the stream, so x itself is not
+    needed.  The first and the last r-1 elements fed (all, if fewer) are kept with
+    their counts <= x, so adjacent runs merge exactly; `last` is the value of the
+    last element.
     """
 
-    def __init__(self, x: int, r: int, q: int | None):
-        self.x, self.r, self.q = x, r, q
+    def __init__(self, r: int, q: int | None):
+        self.r, self.q = r, q
         self.counts = np.zeros(0 if q is None else q**r, dtype=np.int64)
-        self.head = self.tail = np.empty(0, dtype=np.int64)
+        self.head = self.tail = np.empty(0, dtype=np.int64 if q is None else sieve._code_dtype(q))
+        self.head_le = self.tail_le = 0
+        self.last: int | None = None
 
     def _add(self, counts: np.ndarray) -> None:  # the gap histogram grows to the largest gap
         if counts.size > self.counts.size:
             self.counts, counts = counts, self.counts
         self.counts[: counts.size] += counts
 
-    def feed(self, v: np.ndarray) -> None:
-        """Count the windows that end in v, an ascending run that follows everything fed so far."""
+    def feed(self, codes: np.ndarray, le: int) -> None:
+        """Count the windows that end in `codes`, the run that follows everything fed so far.
+
+        Its first `le` elements are <= x and the rest are not.
+        """
         r = self.r
         if self.head.size < r - 1:
-            self.head = np.concatenate([self.head, v[: r - 1 - self.head.size]])
-        seq = np.concatenate([self.tail, v]) if self.tail.size else v
-        m = min(int(np.searchsorted(seq, self.x, side="right")), seq.size - r + 1)
+            new = codes[: r - 1 - self.head.size]
+            self.head = np.concatenate([self.head, new])
+            self.head_le += min(le, new.size)
+        seq = np.concatenate([self.tail, codes]) if self.tail.size else codes
+        le += self.tail_le
+        m = min(le, seq.size - r + 1)
         if m > 0:
             if self.q is None:
                 keys = seq[1 : m + 1] - seq[:m]
             else:
-                res = seq[: m + r - 1] % self.q
-                keys = res[:m]
+                keys = seq[:m].astype(sieve._code_dtype(self.counts.size))
                 for i in range(1, r):
-                    keys = keys * self.q + res[i : i + m]
+                    keys *= self.q
+                    keys += seq[i : i + m]
             if self.q is not None and keys.size < self.counts.size:
                 np.add.at(self.counts, keys, 1)  # a large table: touch only the cells hit
             else:
                 self._add(np.bincount(keys, minlength=self.counts.size))
-        self.tail = seq[max(seq.size - r + 1, 0) :]
+        cut = max(seq.size - r + 1, 0)
+        self.tail, self.tail_le = seq[cut:], max(le - cut, 0)
 
     def merge(self, other: "_Reducer") -> None:
         """Append the state of the run that directly follows this one."""
-        self.feed(other.head)  # the windows that straddle the boundary
+        self.feed(other.head, other.head_le)  # the windows that straddle the boundary
         self._add(other.counts)
         if other.head.size == self.r - 1:  # else other.tail == other.head, already fed
-            self.tail = other.tail
+            self.tail, self.tail_le = other.tail, other.tail_le
+        if other.last is not None:
+            self.last = other.last
 
 
 def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_budget: int,
                     cache_dir: str | None) -> _Reducer:
-    """Reducer state of E cap [lo, hi]; in a pool worker only this state travels back."""
-    red = _Reducer(x, r, q)
+    """Reducer state of E cap [lo, hi]; in a pool worker only this state travels back.
+
+    The segment is read in blocks of BLOCK entries, and the block that holds x is
+    cut after x, so each run fed is wholly <= x or wholly above it.
+    """
+    red = _Reducer(r, q)
     seg = sieve._cached_segment(lo, hi, segment_budget, cache_dir)
-    for start in range(0, hi - lo + 1, BLOCK):
-        red.feed(seg.values(start, start + BLOCK))
+    n, cut = hi - lo + 1, x - lo + 1  # the entries below cut are <= x
+    edges = sorted({*range(0, n, BLOCK), n, min(max(cut, 0), n)})
+    filled = None  # the last run that held an element
+    for start, stop in pairwise(edges):
+        run = seg.values(start, stop) if q is None else seg.residues(q, start, stop)
+        red.feed(run, run.size if stop <= cut else 0)
+        if run.size:
+            filled = start, stop
+    if filled:
+        red.last = seg.last(*filled)
     return red
 
 
@@ -111,16 +147,16 @@ def _reduce(x: int, r: int, q: int | None, overshoot: int = sieve.DEFAULT_OVERSH
     """Reduce E cap [1, x]; TruncatedStreamError if (x, x + overshoot] lacks r-1 successors."""
     if x < 1:
         raise ArgumentError("x must be >= 1")
-    total = _Reducer(x, r, q)
+    total = _Reducer(r, q)
     hi = x + overshoot if r > 1 else x
     for part in sieve._map_segments(partial(_reduce_segment, x, r, q), 1, hi, segment_budget,
                                     cache_dir, threads):
         total.merge(part)
-        if r > 1 and total.tail.size == r - 1 and total.tail[0] > x:
-            return total  # every E_n <= x has its r-1 successors
+        if r > 1 and total.tail.size == r - 1 and total.tail_le == 0:
+            return total  # r-1 elements past x: every E_n <= x has its r-1 successors
     if r > 1:
         raise TruncatedStreamError(f"fewer than {r - 1} successors of x={x} within overshoot",
-                                   last_resolved=int(total.tail[-1]) if total.tail.size else None)
+                                   last_resolved=total.last)
     return total
 
 

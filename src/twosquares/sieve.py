@@ -29,6 +29,13 @@ a miss writes the words with no copy, and a hit checks the CRC and wraps the
 file's bytes.  A truncated, corrupt or old-format file is recomputed and
 rewritten.
 
+A segment is read by entry range, in blocks: `values` gives the int64
+E-elements, `residues(q)` their residues mod q without forming them (the bits
+are compressed against a memoized table of i % q, uint8 for q <= 256, uint16
+up to 65,536 and int64 above, at most twice the block long for any q), and
+`last` the largest element.  One private helper unpacks the bytes that cover
+the range for all three, so it is their only reader of the packed layout.
+
 `count_up_to` does not sieve.  The indicator of E is multiplicative, so its
 sum to x is a Lucy + min_25 sum over the 2 sqrt(x) values x // k, in int64
 numpy arrays: O(x^(3/4)) time and O(sqrt(x)) memory, in the calling process.
@@ -52,6 +59,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from math import isqrt
 
@@ -86,7 +94,18 @@ class SieveSegment:
     @property
     def bits(self) -> np.ndarray:
         """bits[i] <=> lo + i in E: a bool array of length hi - lo + 1, unpacked on each access."""
-        return np.unpackbits(self.words, bitorder="little", count=self.hi - self.lo + 1).view(bool)
+        return self._unpack(0, None)[1]
+
+    def _unpack(self, start: int, stop: int | None) -> tuple[int, np.ndarray]:
+        """(start, bits) with [start, stop) clamped to the segment: bits[i] <=> lo + start + i in E.
+
+        The one reader of the packed layout: only the bytes that cover [start, stop)
+        are unpacked, into a fresh bool array.
+        """
+        start, stop, _ = slice(start, stop).indices(self.hi - self.lo + 1)
+        first = start >> 3
+        bits = np.unpackbits(self.words[first:(stop + 7) >> 3], bitorder="little").view(bool)
+        return start, bits[start - 8 * first:max(stop, start) - 8 * first]
 
     def count(self, include_zero: bool = False) -> int:
         n = int(np.bitwise_count(self.words.view(np.uint64)).sum())
@@ -96,12 +115,36 @@ class SieveSegment:
 
     def values(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Ascending int64 E-elements lo + i, start <= i < stop (default: the whole segment)."""
-        start, stop, _ = slice(start, stop).indices(self.hi - self.lo + 1)
-        if start >= stop:
-            return np.empty(0, dtype=np.int64)
-        first = start >> 3  # unpack only the bytes that cover [start, stop)
-        bits = np.unpackbits(self.words[first:(stop + 7) >> 3], bitorder="little").view(bool)
-        return np.flatnonzero(bits[start - 8 * first:stop - 8 * first]) + (self.lo + start)
+        start, bits = self._unpack(start, stop)
+        return np.flatnonzero(bits) + (self.lo + start)
+
+    def residues(self, q: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """values(start, stop) % q, in _code_dtype(q), without forming the values.
+
+        The bits are compressed against a memoized table of i % q read from
+        (lo + start) % q, so no int64 value and no `%` is computed per element.
+        The table is about as long as the range and kept, so read blocks, not
+        whole segments.
+        """
+        if q < 1:
+            raise ArgumentError("q must be >= 1")
+        start, bits = self._unpack(start, stop)
+        c = (self.lo + start) % q
+        n = 1 << max(bits.size - 1, 0).bit_length()  # one table per (q, power of two >= size)
+        table = _cyclic(q, n)
+        if q <= n:
+            return np.compress(bits, table[c:c + bits.size])
+        codes = np.compress(bits, table[:bits.size]) + c  # offsets i < n < q, so c + i < 2q
+        codes[codes >= q] -= q
+        return codes.astype(_code_dtype(q), copy=False)
+
+    def last(self, start: int = 0, stop: int | None = None) -> int | None:
+        """The largest E-element lo + i with start <= i < stop, or None if there is none."""
+        start, bits = self._unpack(start, stop)
+        if not bits.size:
+            return None
+        i = bits.size - 1 - int(np.argmax(bits[::-1]))
+        return self.lo + start + i if bits[i] else None
 
     def _header(self) -> bytes:
         return _CACHE_HEADER.pack(_CACHE_MAGIC, self.lo, self.hi, self.words.size,
@@ -125,6 +168,24 @@ class SieveSegment:
         if int.from_bytes(words[-8:], "little") >> ((n - 1) % 64 + 1):  # count() would see them
             raise ArgumentError(f"cache blob for [{lo}, {hi}] sets bits past hi")
         return cls(lo, hi, np.frombuffer(words, dtype=np.uint8))
+
+
+def _code_dtype(cells: int) -> type:
+    """The smallest of uint8, uint16 and int64 that holds 0 .. cells - 1."""
+    return np.uint8 if cells <= 1 << 8 else np.uint16 if cells <= 1 << 16 else np.int64
+
+
+@lru_cache(maxsize=16)
+def _cyclic(q: int, n: int) -> np.ndarray:
+    """Read-only table for `residues` of at most n entries; at most 2n long for any q.
+
+    For q <= n: i % q for 0 <= i < n + q, in _code_dtype(q), so the slice at
+    c = (lo + start) % q holds the residues of lo + start .. lo + start + n - 1.
+    For q > n: the int64 offsets 0 .. n - 1, to which the caller adds c and folds once.
+    """
+    table = np.resize(np.arange(q, dtype=_code_dtype(q)), n + q) if q <= n else np.arange(n)
+    table.flags.writeable = False
+    return table
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:

@@ -25,8 +25,11 @@ def brute_tuples(x, q, r):
     return counts
 
 
-# (17, 5): 17^5 cells, more than any block has windows, so the reducer adds them sparsely
-@pytest.mark.parametrize("q,r", [(5, 2), (5, 3), (13, 2), (17, 2), (5, 4), (17, 5)])
+# (17, 5): 17^5 cells, more than any block has windows, so the reducer adds them sparsely.
+# Keys are uint8 up to 256 cells, uint16 up to 65,536 (17^2 = 289, 257) and int64
+# above (257^2 = 66,049, also sparse)
+@pytest.mark.parametrize("q,r", [(5, 2), (5, 3), (13, 2), (17, 2), (5, 4), (17, 5), (257, 1),
+                                 (257, 2)])
 def test_tuple_counts_match_brute_force(q, r):
     x = 10**4
     mat = progressions.count_consecutive_tuples(x, q, r)
@@ -42,6 +45,10 @@ def test_single_counts_match_brute_force():
     vals = [v for v in _members(x)]
     for a in range(13):
         assert mat.cell(a) == sum(1 for v in vals if v % 13 == a)
+    # 131101 > BLOCK: int64 codes folded once, from values past 2q
+    x, q = 3 * 10**5, 131101
+    want = np.bincount(np.array(_members(x)) % q, minlength=q)
+    assert np.array_equal(progressions.count_by_residue(x, q).counts, want)
 
 
 @given(st.sampled_from([5, 13, 17, 29]),
@@ -61,7 +68,7 @@ BRUTE_E = [n for n in range(1, BRUTE_X + OVERSHOOT) if sieve.is_sum_of_two_squar
 
 
 @given(x=st.integers(min_value=1, max_value=BRUTE_X),
-       q=st.sampled_from([5, 13, 17]),
+       q=st.sampled_from([5, 13, 17, 257]),
        r=st.integers(min_value=1, max_value=4),
        budget=st.sampled_from([1, 2, 3, 7, 64, 2**12]),
        block=st.sampled_from([1, 3, progressions.BLOCK]),
@@ -70,6 +77,8 @@ BRUTE_E = [n for n in range(1, BRUTE_X + OVERSHOOT) if sieve.is_sum_of_two_squar
 def test_statistics_match_brute_list_across_segment_edges(x, q, r, budget, block, pooled):
     # budgets and blocks of 1-3 entries give runs with fewer than r-1 elements or
     # none, so reducer states merge across short runs; threads=2 reduces in workers
+    if q == 257:
+        r = min(r, 2)  # 257^2 cells take int64 keys; 257^3 would be a 17M-cell table
     kw = {"segment_budget": budget, "overshoot": OVERSHOOT,
           "threads": 2 if pooled and budget >= 64 else 1}
     starts = [i for i, v in enumerate(BRUTE_E) if v <= x]
@@ -98,6 +107,10 @@ def test_truncated_overshoot_raises_with_last_resolved():
     with pytest.raises(TruncatedStreamError) as err:
         progressions.count_consecutive_tuples(25, 5, 2, overshoot=0)
     assert err.value.last_resolved == 25
+    # one-entry segments: [21] .. [24] hold no element, so the last one is 20 from [20]
+    with pytest.raises(TruncatedStreamError) as err:
+        progressions.count_consecutive_tuples(24, 5, 2, overshoot=0, segment_budget=1)
+    assert err.value.last_resolved == 20
 
 
 def test_gap_histogram_small_examples():

@@ -222,6 +222,40 @@ def test_packed_segment_matches_reference(lo, hi):
         for start, stop in ranges:  # across byte, word and window edges
             want = np.flatnonzero(ref[start:stop]) + lo + start
             assert np.array_equal(s.values(start, stop), want), (start, stop)
+            assert s.last(start, stop) == (int(want[-1]) if want.size else None), (start, stop)
+            for q in RESIDUE_MODULI:
+                got = s.residues(q, start, stop)
+                assert got.dtype == sieve._code_dtype(q), (q, start, stop)
+                assert np.array_equal(got, want % q), (q, start, stop)
+
+
+# 257 needs uint16 codes; 131101 is above progressions.BLOCK, so a block's codes are folded
+RESIDUE_MODULI = (5, 13, 257, 131101)
+
+
+@pytest.mark.parametrize("q", RESIDUE_MODULI)
+def test_residues_from_every_class_match_values_mod_q(q):
+    # lo + start runs through every class mod q (for 131101: the classes next to 0
+    # and to q - 1, where folding starts); stops off byte and word edges
+    base = 10**9 - 10**9 % q
+    classes = range(q) if q < 1000 else [*range(0, 70), *range(q - 70, q)]
+    for c in classes:
+        seg = sieve.sieve_segment(base + c, base + c + 200)
+        for start, stop in ((0, None), (0, 63), (1, 65), (7, 9), (8, 200), (64, 129)):
+            want = seg.values(start, stop) % q
+            assert np.array_equal(seg.residues(q, start, stop), want), (c, start, stop)
+
+
+def test_residue_table_stays_within_twice_the_block():
+    # at r = 1, DENSE_CELLS_LIMIT admits q up to 5 * 10^7; a table of q + BLOCK
+    # entries would then take 200 MB
+    n = progressions.BLOCK
+    for q in (5, 257, 131101, 49999921):
+        table = sieve._cyclic(q, n)
+        assert table.size <= 2 * n and not table.flags.writeable
+        assert np.array_equal(table[:n], np.arange(n) % q)
+    with pytest.raises(ArgumentError):
+        sieve.sieve_segment(0, 99).residues(0)
 
 
 def test_set_padding_bit_is_rejected():
