@@ -89,7 +89,10 @@ def _euler_maclaurin(s, a, pole: bool = True):
     if np.any(np.real(s) <= 1 - 2 * _EM_M):
         raise ArgumentError(f"s={s} below Euler-Maclaurin validity")
     a = np.asarray(a, dtype=float)
-    s = np.reshape(s, np.shape(s) + (1,) * a.ndim)  # broadcasts to the (s, a) grid
+    shape = np.shape(s) + a.shape
+    # flat, so a scalar s takes numpy's array pow like every entry of an array s;
+    # broadcasts to the (s, a) grid
+    s = np.reshape(s, (-1,) + (1,) * a.ndim)
     # the n axis is last and contiguous, so every grid point is summed alike
     v = np.sum((a[..., None] + _DIRECT) ** -s[..., None], axis=-1)
     w = _EM_N + a
@@ -103,7 +106,7 @@ def _euler_maclaurin(s, a, pole: bool = True):
     for k, coef in enumerate(_EM_COEF, start=1):
         tail = tail + coef * poch * t
         poch, t = poch * (s + 2 * k - 1) * (s + 2 * k), t * w2
-    return v + tail
+    return np.reshape(v + tail, shape)
 
 
 def hurwitz_regular(s, a: float):

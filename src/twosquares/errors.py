@@ -23,14 +23,3 @@ class AccuracyError(TwoSquaresError, RuntimeError):
         super().__init__(message)
         self.partial = partial
 
-
-class TruncatedStreamError(ResourceError):
-    """An enumeration ended before the required successor was resolved.
-
-    Carries the last element that *was* resolved, so callers can report
-    exactly where the stream stopped.
-    """
-
-    def __init__(self, message, last_resolved=None):
-        super().__init__(message)
-        self.last_resolved = last_resolved

@@ -2,9 +2,12 @@
 
 N(x;q,a), the pair matrix N(x;q,(a,b)), r-tuple counts N(x;q,avec) and gap
 histograms come from one mergeable reducer over the windows of r consecutive
-E-elements that start at or below x (successors may exceed x; they come from the
-sieve overshoot window).  Each segment is reduced in blocks of BLOCK entries, in
-the pool workers when threads > 1; the parent merges the states in segment order.
+E-elements that start at or below x.  Successors may exceed x: for r > 1 the
+sieve runs to x + w, where (x, x + w] holds 5 elements of E by the x^(1/4) gap
+bound (`sieve._successor_window`), enough for every r <= 6.  w depends on x
+alone, so every statistic of one x reads the same segments.  Each segment is
+reduced in blocks of BLOCK entries, in the pool workers when threads > 1; the
+parent merges the states in segment order.
 
 The residue statistics never form an E-element: each block's residues mod q
 come straight from the segment's packed bits (`SieveSegment.residues`, uint8
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import sieve
 from .characters import check_modulus
-from .errors import ArgumentError, ResourceError, TruncatedStreamError
+from .errors import ArgumentError, ResourceError
 
 DENSE_CELLS_LIMIT = 5 * 10**7  # refuse q^r tables larger than this
 # Bitset entries per residues() or values() call.  Each block's temporaries are
@@ -48,13 +51,6 @@ class ResidueCountMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def as_dict(self) -> dict:
-        out = {}
-        it = np.nditer(self.counts, flags=["multi_index"])
-        for v in it:
-            out[it.multi_index if self.r > 1 else it.multi_index[0]] = int(v)
-        return out
-
 
 class _Reducer:
     """Counts of the windows of r consecutive fed elements whose first element is <= x.
@@ -65,8 +61,7 @@ class _Reducer:
     with q None it is fed values.  Each run comes with the number of its elements
     that are <= x: those elements form a prefix of the stream, so x itself is not
     needed.  The first and the last r-1 elements fed (all, if fewer) are kept with
-    their counts <= x, so adjacent runs merge exactly; `last` is the value of the
-    last element.
+    their counts <= x, so adjacent runs merge exactly.
     """
 
     def __init__(self, r: int, q: int | None):
@@ -74,7 +69,6 @@ class _Reducer:
         self.counts = np.zeros(0 if q is None else q**r, dtype=np.int64)
         self.head = self.tail = np.empty(0, dtype=np.int64 if q is None else sieve._code_dtype(q))
         self.head_le = self.tail_le = 0
-        self.last: int | None = None
 
     def _add(self, counts: np.ndarray) -> None:  # the gap histogram grows to the largest gap
         if counts.size > self.counts.size:
@@ -115,8 +109,6 @@ class _Reducer:
         self._add(other.counts)
         if other.head.size == self.r - 1:  # else other.tail == other.head, already fed
             self.tail, self.tail_le = other.tail, other.tail_le
-        if other.last is not None:
-            self.last = other.last
 
 
 def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_budget: int,
@@ -130,33 +122,22 @@ def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_bud
     seg = sieve._cached_segment(lo, hi, segment_budget, cache_dir)
     n, cut = hi - lo + 1, x - lo + 1  # the entries below cut are <= x
     edges = sorted({*range(0, n, BLOCK), n, min(max(cut, 0), n)})
-    filled = None  # the last run that held an element
     for start, stop in pairwise(edges):
         run = seg.values(start, stop) if q is None else seg.residues(q, start, stop)
         red.feed(run, run.size if stop <= cut else 0)
-        if run.size:
-            filled = start, stop
-    if filled:
-        red.last = seg.last(*filled)
     return red
 
 
-def _reduce(x: int, r: int, q: int | None, overshoot: int = sieve.DEFAULT_OVERSHOOT,
-            segment_budget: int = sieve.DEFAULT_SEGMENT_BITS, cache_dir: str | None = None,
-            threads: int = 1) -> _Reducer:
-    """Reduce E cap [1, x]; TruncatedStreamError if (x, x + overshoot] lacks r-1 successors."""
+def _reduce(x: int, r: int, q: int | None, segment_budget: int = sieve.DEFAULT_SEGMENT_BITS,
+            cache_dir: str | None = None, threads: int = 1) -> _Reducer:
+    """Reduce E cap [1, x], each window of r with its successors past x."""
     if x < 1:
         raise ArgumentError("x must be >= 1")
     total = _Reducer(r, q)
-    hi = x + overshoot if r > 1 else x
+    hi = x + sieve._successor_window(x) if r > 1 else x
     for part in sieve._map_segments(partial(_reduce_segment, x, r, q), 1, hi, segment_budget,
                                     cache_dir, threads):
         total.merge(part)
-        if r > 1 and total.tail.size == r - 1 and total.tail_le == 0:
-            return total  # r-1 elements past x: every E_n <= x has its r-1 successors
-    if r > 1:
-        raise TruncatedStreamError(f"fewer than {r - 1} successors of x={x} within overshoot",
-                                   last_resolved=total.last)
     return total
 
 

@@ -19,9 +19,9 @@ live row and advances it to b + 1, so the writes of one step fall in a band
 about 2 sqrt(hi) wide instead of across the whole window.
 
 With threads > 1 the segments are sieved in a process pool that keeps at most
-`threads` segments in flight.  The statistics of `progressions` reduce inside
-the workers, so a small reducer state travels back per segment;
-`iter_segments` returns the packed segments, 8 MB each per 2^26 entries.
+`threads` segments in flight (`_map_segments`).  The statistics of
+`progressions` reduce inside the workers, so only a small reducer state
+travels back per segment, never the segment itself.
 
 The optional per-segment cache file holds a segment's packed words as they are
 in memory, after a header with its bounds, the payload length and a zlib CRC32:
@@ -30,11 +30,17 @@ file's bytes.  A truncated, corrupt or old-format file is recomputed and
 rewritten.
 
 A segment is read by entry range, in blocks: `values` gives the int64
-E-elements, `residues(q)` their residues mod q without forming them (the bits
-are compressed against a memoized table of i % q, uint8 for q <= 256, uint16
-up to 65,536 and int64 above, at most twice the block long for any q), and
-`last` the largest element.  One private helper unpacks the bytes that cover
-the range for all three, so it is their only reader of the packed layout.
+E-elements and `residues(q)` their residues mod q without forming them (the
+bits are compressed against a memoized table of i % q, uint8 for q <= 256,
+uint16 up to 65,536 and int64 above, at most twice the block long for any q).
+One private helper unpacks the bytes that cover the range for both, so it is
+their only reader of the packed layout.
+
+The successors of x bound how far past x the statistics of consecutive
+elements sieve: every n >= 1 has an element of E in
+[n, n + 2 ceil(sqrt(2 floor(sqrt n))) - 2] (`_gap_bound`, an x^(1/4) bound),
+so the 5th element past x is within about 10 sqrt(2) x^(1/4) of it
+(`_successor_window`): at most 655,355 entries below 2^62.
 
 `count_up_to` does not sieve.  The indicator of E is multiplicative, so its
 sum to x is a Lucy + min_25 sum over the 2 sqrt(x) values x // k, in int64
@@ -69,7 +75,6 @@ from .errors import ArgumentError, ResourceError
 from .eulerprod import primes_up_to
 
 DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
-DEFAULT_OVERSHOOT = 10**6
 COUNT_VALUES_BUDGET = 10**7  # max |V| = 2 sqrt(x) for count_up_to: x <= 2.5e13, ~700 MB peak
 
 _ROW_BLOCK = 1 << 14  # rows per numpy pass when finding first marks (cache-sized temporaries)
@@ -137,14 +142,6 @@ class SieveSegment:
         codes = np.compress(bits, table[:bits.size]) + c  # offsets i < n < q, so c + i < 2q
         codes[codes >= q] -= q
         return codes.astype(_code_dtype(q), copy=False)
-
-    def last(self, start: int = 0, stop: int | None = None) -> int | None:
-        """The largest E-element lo + i with start <= i < stop, or None if there is none."""
-        start, bits = self._unpack(start, stop)
-        if not bits.size:
-            return None
-        i = bits.size - 1 - int(np.argmax(bits[::-1]))
-        return self.lo + start + i if bits[i] else None
 
     def _header(self) -> bytes:
         return _CACHE_HEADER.pack(_CACHE_MAGIC, self.lo, self.hi, self.words.size,
@@ -319,12 +316,6 @@ def _map_segments(fn, lo: int, hi: int, segment_budget: int, cache_dir: str | No
             yield out
 
 
-def iter_segments(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS,
-                  cache_dir: str | None = None, threads: int = 1):
-    """Yield segments covering [lo, hi] in order; sieve ahead with a pool when threads > 1."""
-    yield from _map_segments(_cached_segment, lo, hi, segment_budget, cache_dir, threads)
-
-
 def is_sum_of_two_squares(n: int) -> bool:
     """True iff n = a^2 + b^2, i.e. v_p(n) is even for every prime p = 3 mod 4."""
     if n < 0:
@@ -346,18 +337,28 @@ def is_sum_of_two_squares(n: int) -> bool:
     return n % 4 != 3
 
 
-def enumerate_up_to(x: int, overshoot: int = DEFAULT_OVERSHOOT,
-                    segment_budget: int = DEFAULT_SEGMENT_BITS,
-                    cache_dir: str | None = None, threads: int = 1):
-    """Yield E-elements of [1, x + overshoot] ascending, in numpy batches.
+def _gap_bound(n: int) -> int:
+    """2 ceil(sqrt(2 floor(sqrt n))) - 2: [n, n + _gap_bound(n)] holds an element of E (n >= 1).
 
-    Consumers that need the successor of the last element <= x must check for
-    it themselves; values() past x are included up to x + overshoot.
+    Proof: with a = floor(sqrt n) and y = n - a^2 <= 2a, take a^2 + c^2 with
+    c = ceil(sqrt y) <= ceil(sqrt(2a)).  It is >= n, and (c - 1)^2 < y when
+    y > 0, so c^2 - y <= 2c - 2 (when y = 0, n itself is a^2 + 0^2).  The bound
+    is nondecreasing in n.
     """
-    if x < 1:
-        raise ArgumentError("x must be >= 1")
-    for seg in iter_segments(1, x + overshoot, segment_budget, cache_dir, threads):
-        yield seg.values()
+    return 2 * isqrt(2 * isqrt(n) - 1)  # ceil(sqrt m) = isqrt(m - 1) + 1 for m >= 1
+
+
+def _successor_window(x: int) -> int:
+    """w such that (x, x + w] holds 5 elements of E: windows of up to 6 consecutive elements.
+
+    If the (i-1)-th element past x is at most h (h = x for i = 1), the i-th is
+    the first element >= h' + 1 for some h' <= h, so it is at most
+    h + 1 + _gap_bound(h + 1), as n + _gap_bound(n) is nondecreasing.
+    """
+    h = x
+    for _ in range(5):
+        h += 1 + _gap_bound(h + 1)
+    return h - x
 
 
 def _sum_f(x: int) -> int:

@@ -233,7 +233,7 @@ def test_criterion_12_oracle_equivalence():
     # (a) tuple counts at 1e5 vs an independent brute-force enumerator:
     # direct a^2 + b^2 marking with plain python sets, no shared sieve code
     x = 10**5
-    win = x + 10**4  # enough overshoot for the successors of the last element
+    win = x + 10**4  # room for the successors of the last element
     mem = set()
     a = 0
     while a * a <= win:

@@ -47,10 +47,11 @@ def test_hurwitz_matches_mpmath(s):
 
 
 def test_hurwitz_vectorized_matches_scalar():
-    s = np.array([-3.2, 0.4, 0.75, 2.0, 5.5])
-    vec = chars.hurwitz(s)
-    for si, vi in zip(s, vec):
-        assert vi == chars.hurwitz(float(si))
+    # bit for bit: a scalar s runs through the same array kernel as an array s
+    grid = np.linspace(-0.5, 40, 37)
+    for s, a in ((np.array([-3.2, 0.4, 0.75, 2.0, 5.5]), 1.0), (grid, 1.0), (grid, 0.3)):
+        for si, vi in zip(s, chars.hurwitz(s, a)):
+            assert vi == chars.hurwitz(float(si), a), (si, a)
 
 
 def test_hurwitz_scalar_types_share_the_memo():

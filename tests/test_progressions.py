@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twosquares import progressions, sieve
-from twosquares.errors import ArgumentError, TruncatedStreamError
+from twosquares.errors import ArgumentError
 
 
 def _members(x, extra=0):
-    vals = np.concatenate(list(sieve.enumerate_up_to(x)))
-    return vals[vals <= x + extra].tolist()
+    return sieve.sieve_segment(1, x + extra).values().tolist()
 
 
 def brute_tuples(x, q, r):
     """r-tuple residue counts by listing E and its successors directly."""
-    vals = _members(x, extra=10**6)
+    vals = _members(x, extra=1000)  # past x <= 10^4, E's gaps are at most 28 (sieve._gap_bound)
     counts = {}
     for i in range(len(vals) - r + 1):
         if vals[i] > x:
@@ -63,24 +62,26 @@ def test_pair_marginals_match_singles(q, x):
     assert pairs.total() == singles.total()
 
 
-BRUTE_X, OVERSHOOT = 3000, 100  # E has gaps of at most 15 below 3100
-BRUTE_E = [n for n in range(1, BRUTE_X + OVERSHOOT) if sieve.is_sum_of_two_squares(n)]
+BRUTE_X = 3000  # E has gaps of at most 15 below 3100, so BRUTE_E holds 5 successors of x
+BRUTE_E = [n for n in range(1, BRUTE_X + 100) if sieve.is_sum_of_two_squares(n)]
 
 
 @given(x=st.integers(min_value=1, max_value=BRUTE_X),
        q=st.sampled_from([5, 13, 17, 257]),
-       r=st.integers(min_value=1, max_value=4),
+       r=st.integers(min_value=1, max_value=6),
        budget=st.sampled_from([1, 2, 3, 7, 64, 2**12]),
        block=st.sampled_from([1, 3, progressions.BLOCK]),
        pooled=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_statistics_match_brute_list_across_segment_edges(x, q, r, budget, block, pooled):
     # budgets and blocks of 1-3 entries give runs with fewer than r-1 elements or
-    # none, so reducer states merge across short runs; threads=2 reduces in workers
+    # none, so reducer states merge across short runs; threads=2 reduces in workers.
+    # At r = 5 and 6 the window's successors past x merge across 1-entry segments
     if q == 257:
         r = min(r, 2)  # 257^2 cells take int64 keys; 257^3 would be a 17M-cell table
-    kw = {"segment_budget": budget, "overshoot": OVERSHOOT,
-          "threads": 2 if pooled and budget >= 64 else 1}
+    elif q != 5:
+        r = min(r, 4)  # every 1-entry segment allocates q^r cells: 5^6 is 15,625, 17^6 24M
+    kw = {"segment_budget": budget, "threads": 2 if pooled and budget >= 64 else 1}
     starts = [i for i, v in enumerate(BRUTE_E) if v <= x]
     want = np.zeros((q,) * r, dtype=np.int64)
     for i in starts:
@@ -100,17 +101,6 @@ def test_statistics_match_brute_list_across_segment_edges(x, q, r, budget, block
                 g = BRUTE_E[i + 1] - BRUTE_E[i]
                 gaps[g] = gaps.get(g, 0) + 1
             assert progressions.gap_histogram(x, **kw) == gaps
-
-
-def test_truncated_overshoot_raises_with_last_resolved():
-    # with no overshoot the stream ends at 25, whose successor 26 is never sieved
-    with pytest.raises(TruncatedStreamError) as err:
-        progressions.count_consecutive_tuples(25, 5, 2, overshoot=0)
-    assert err.value.last_resolved == 25
-    # one-entry segments: [21] .. [24] hold no element, so the last one is 20 from [20]
-    with pytest.raises(TruncatedStreamError) as err:
-        progressions.count_consecutive_tuples(24, 5, 2, overshoot=0, segment_budget=1)
-    assert err.value.last_resolved == 20
 
 
 def test_gap_histogram_small_examples():

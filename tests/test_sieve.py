@@ -94,14 +94,40 @@ def test_values_bounds_match_slice_of_full_values(start, stop):
     assert got.dtype == np.int64 and np.array_equal(got, expect)
 
 
-def test_enumerate_small_examples():
-    vals = np.concatenate(list(sieve.enumerate_up_to(10)))
-    assert vals[vals <= 10].tolist() == [1, 2, 4, 5, 8, 9, 10]
-    start = np.concatenate(list(sieve.enumerate_up_to(1)))[:2]
-    assert start.tolist() == [1, 2]  # the stream past x=1 starts 1, 2
-    # successor of the last in-range element 25 is 26 = 5^2 + 1^2
-    stream = np.concatenate(list(sieve.enumerate_up_to(25))).tolist()
-    assert 25 in stream and 26 in stream
+def _assert_gaps_within_bound(vals, lo):
+    """For every n in [lo, vals[-1]], the next element of E (from vals) is within _gap_bound(n)."""
+    ns = np.arange(lo, vals[-1] + 1)
+    dist = vals[np.searchsorted(vals, ns)] - ns
+    assert (dist <= [sieve._gap_bound(n) for n in ns.tolist()]).all()
+
+
+def test_gap_bound_holds_exhaustively_to_2e5():
+    vals = sieve.sieve_segment(1, 2 * 10**5 + 10**3).values()
+    _assert_gaps_within_bound(vals, 1)
+    # the window holds 5 elements past x, which every statistic with r <= 6 needs
+    for x in range(1, 2 * 10**4):
+        w = sieve._successor_window(x)
+        assert np.searchsorted(vals, x + w, "right") - np.searchsorted(vals, x, "right") >= 5
+
+
+@pytest.mark.parametrize("lo", [10**9, 10**10, 10**11, 10**12])
+def test_gap_bound_holds_in_high_windows(lo):
+    vals = sieve.sieve_segment(lo, lo + 2**16 - 1).values()
+    _assert_gaps_within_bound(vals, lo)
+
+
+def test_gap_bound_witness_near_2_61():
+    # one sieve window there marks 2^30 rows (about 40 s), so check the proof's
+    # witness a^2 + ceil(sqrt(n - a^2))^2 in exact integers instead
+    top = (1 << 62) - 1
+    ns = [*range(2**61 - 500, 2**61 + 500), *range(top - 500, top + 1)]
+    a0 = isqrt(2**61) + 1  # n = a0^2 + (c - 1)^2 + 1 is the farthest from a0^2 + c^2
+    ns += [a0 * a0 + (c - 1) ** 2 + 1 for c in range(1, isqrt(2 * a0) + 2)]
+    for n in ns:
+        a = isqrt(n)
+        c = isqrt(n - a * a - 1) + 1 if n > a * a else 0
+        assert 0 <= a * a + c * c - n <= sieve._gap_bound(n)
+    assert sieve._successor_window(top - 10**6) == 5 * 131071
 
 
 def test_count_monotone_and_known_values():
@@ -122,12 +148,13 @@ def test_count_matches_membership_test_to_2000():
 
 def _sieve_counts(xs):
     """{x: #E cap [1, x]} for every x in xs, from one sieve pass over [1, max(xs)]."""
-    out, total = {}, 0
-    for seg in sieve.iter_segments(1, max(xs)):
+    out, total, step = {}, 0, sieve.DEFAULT_SEGMENT_BITS
+    for lo in range(1, max(xs) + 1, step):
+        seg = sieve.sieve_segment(lo, min(lo + step - 1, max(xs)))
         for x in xs:
             if seg.lo <= x <= seg.hi:
-                out[x] = total + int(np.count_nonzero(seg.bits[:x - seg.lo + 1]))
-        total += int(np.count_nonzero(seg.bits))
+                out[x] = total + seg.values(0, x - lo + 1).size
+        total += seg.count()
     return out
 
 
@@ -162,9 +189,9 @@ def test_count_matches_sieve_pass_at_1e9(stats_1e9):
 
 
 def test_small_segments_agree_with_one_big_segment():
-    one = sum(seg.count() for seg in sieve.iter_segments(1, 10**6))
-    many = sum(seg.count() for seg in
-               sieve.iter_segments(1, 10**6, segment_budget=2**17))
+    one = sieve.sieve_segment(1, 10**6).count()
+    many = sum(sieve.sieve_segment(lo, min(lo + 2**17 - 1, 10**6)).count()
+               for lo in range(1, 10**6 + 1, 2**17))
     assert one == many == 216341
 
 
@@ -222,7 +249,6 @@ def test_packed_segment_matches_reference(lo, hi):
         for start, stop in ranges:  # across byte, word and window edges
             want = np.flatnonzero(ref[start:stop]) + lo + start
             assert np.array_equal(s.values(start, stop), want), (start, stop)
-            assert s.last(start, stop) == (int(want[-1]) if want.size else None), (start, stop)
             for q in RESIDUE_MODULI:
                 got = s.residues(q, start, stop)
                 assert got.dtype == sieve._code_dtype(q), (q, start, stop)
@@ -293,7 +319,7 @@ def test_pool_keeps_at_most_threads_segments_in_flight(monkeypatch):
             return fut
 
     monkeypatch.setattr(sieve, "ProcessPoolExecutor", InlinePool)
-    segs = list(sieve.iter_segments(1, 10**5, segment_budget=2**12, threads=3))
+    segs = list(sieve._map_segments(sieve._cached_segment, 1, 10**5, 2**12, None, threads=3))
     assert len(segs) == 25 and peak[0] == 3
     assert [s.lo for s in segs] == list(range(1, 10**5 + 1, 2**12))
 
