@@ -4,12 +4,13 @@ Three evaluation routes:
 
 1. ck_singular_series: the exact closed form for pairs {0, h},
        S({0,h}) = (1/2K^2) W2(h) prod_{p=3(4), p|h} (1-p^-(v+1))/(1-1/p),
-   W2(h) = 1 for odd h, 2 - 3*2^-v2(h) otherwise; vectorized over ranges of h
-   by a multiplicative sieve (ck_values).  Primes p <= sqrt(T) multiply their
-   strided multiples once per power.  A prime p > sqrt(T) only occurs to the
-   first power, and at most one such prime divides h, so these factors come
-   last and are applied with one gather per cofactor m = h/p: about sqrt(T)
-   numpy calls instead of one per prime.
+   W2(h) = 1 for odd h, 2 - 3*2^-v2(h) otherwise; vectorized over h <= T by a
+   multiplicative sieve run in blocks of 2^17 h (_ck_blocks; ck_values joins
+   the blocks).  Primes p <= sqrt(T) multiply their strided multiples in each
+   block once per power.  A prime p > sqrt(T) only occurs to the first power,
+   and at most one such prime divides h, so these factors come last and are
+   applied in one scatter per block over every cofactor m = h/p at once.
+   Every h receives the same factors in the same order whatever the blocking.
 
 2. singular_series_general: brute-force local densities.  The level-alpha
    density delta_D(p, alpha) counts a in [0, p^alpha) with every a+d in
@@ -29,7 +30,10 @@ Three evaluation routes:
 
 3. weighted sums S(q,v;H), S(H), S^(k), S_0 variants by direct summation of
    ck values against exponential weights, with the geometric parts subtracted
-   exactly.  The weights are built on the class h = v (mod q) only.
+   exactly.  One pass over the c_h blocks reduces each block into the sums of
+   all q classes h = v (mod q) at once (one strided dot per class, the block
+   sums combined by fsum), and only those q sums are memoized per
+   (q, H, K, rel_tol, k): no c_h array outlives its block.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, expm1, isqrt, log
+from math import ceil, exp, expm1, fsum, isfinite, isqrt, log
 
 import numpy as np
 
@@ -121,17 +125,24 @@ def ck_singular_series(h: int, K: float) -> float:
     return w / (2 * K * K)
 
 
-def ck_values(T: int, K: float) -> np.ndarray:
-    """S({0,h}) for h = 0..T (index 0 unused) via a multiplicative sieve."""
-    if T < 1:
-        raise ArgumentError("T must be >= 1")
-    F = np.ones(T + 1)
-    # p = 2: weight f(v) = 2 - 3*2^-v; multiply ratio f(v)/f(v-1) at 2^v | h
+_CK_BLOCK = 1 << 17  # h per block of the c_h pass
+
+
+def _ck_blocks(T: int, K: float):
+    """Yield (h0, c) with c[i] = S({0, h0 + i}) for h in [h0, h1), blocks of _CK_BLOCK.
+
+    c_0 is 0.  Every h receives the same factors in the same order as in one
+    array over 0..T (2-powers, then each p = 3 mod 4 by its powers, the prime
+    above sqrt(T) last), so the values do not depend on the blocking.
+    """
+    # (modulus, ratio) strided factors: p = 2 has weight f(v) = 2 - 3*2^-v, an odd
+    # p = 3 mod 4 has (1 - p^-(v+1))/(1 - 1/p); multiply f(v)/f(v-1) at p^v | h
+    strides = []
     fprev = 1.0
     v = 1
     while 2**v <= T:
         f = 2 - 3 * 2.0**-v
-        F[2**v :: 2**v] *= f / fprev
+        strides.append((2**v, f / fprev))
         fprev = f
         v += 1
     P = ep.primes_3mod4(T)
@@ -142,21 +153,41 @@ def ck_values(T: int, K: float) -> np.ndarray:
         v = 1
         while pk <= T:
             f = (1 - p ** -(v + 1.0)) / (1 - 1.0 / p)
-            F[pk::pk] *= f / fprev
+            strides.append((pk, f / fprev))
             fprev = f
             pk *= p
             v += 1
     # p > sqrt(T): only v = 1 occurs, and h = m p has no other such prime, so
-    # this factor is the last one h receives; one gather per cofactor m
+    # this factor is the last one h receives and the indices m p are distinct
     P = P[n_small:]
-    f = (1 - P ** -2.0) / (1 - 1.0 / P)
-    m_max = T // int(P[0]) if P.size else 0
-    for m in range(1, m_max + 1):
-        n = int(np.searchsorted(P, T // m, side="right"))
-        F[m * P[:n]] *= f[:n]
-    F /= 2 * K * K
-    F[0] = 0.0
-    return F
+    fbig = (1 - P ** -2.0) / (1 - 1.0 / P)
+    scale = 2 * K * K
+    for h0 in range(0, T + 1, _CK_BLOCK):
+        h1 = min(h0 + _CK_BLOCK, T + 1)
+        F = np.ones(h1 - h0)
+        for pk, r in strides:
+            F[-h0 % pk:: pk] *= r
+        if P.size:
+            # every cofactor m at once: the primes in [ceil(h0/m), (h1-1)//m]
+            m = np.arange(1, (h1 - 1) // int(P[0]) + 1)
+            lo = np.searchsorted(P, -(-h0 // m))
+            n = np.searchsorted(P, (h1 - 1) // m, side="right") - lo
+            pos = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+            F[np.repeat(m, n) * P[pos] - h0] *= fbig[pos]
+        F /= scale
+        if h0 == 0:
+            F[0] = 0.0
+        yield h0, F
+
+
+def ck_values(T: int, K: float) -> np.ndarray:
+    """S({0,h}) for h = 0..T (index 0 unused) via a multiplicative sieve."""
+    if T < 1:
+        raise ArgumentError("T must be >= 1")
+    out = np.empty(T + 1)
+    for h0, F in _ck_blocks(T, K):
+        out[h0:h0 + F.size] = F
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +239,11 @@ def local_density(p: int, D: TupleConfig, alpha: int) -> Fraction:
         raise ArgumentError("p must be 2 or 3 mod 4; alpha even >= 2")
     ok = _membership(p, alpha)
     n = ok.size
-    hit = np.ones(n, dtype=bool)
-    for d in D.offsets:  # hit[a] &= ok[(a + d) mod n], in two slices
+    if not D.offsets:
+        return Fraction(1)
+    s = D.offsets[0] % n
+    hit = np.concatenate((ok[s:], ok[:s]))  # hit[a] = ok[(a + d) mod n] for the first d
+    for d in D.offsets[1:]:  # hit[a] &= ok[(a + d) mod n], in two slices
         s = d % n
         hit[: n - s] &= ok[s:]
         hit[n - s:] &= ok[:s]
@@ -402,13 +436,26 @@ def _weighted_geometric(q: int, v: int, H: float, k: int) -> float:
     return exp(-v0 / H) * total
 
 
-_CK_CACHE = {"T": 0, "K": None, "vals": None}
+@lru_cache(maxsize=None)
+def _class_sums(q: int, H: float, K: float, rel_tol: float, k: int) -> tuple:
+    """sum of S({0,h}) h^k e^{-h/H} over 1 <= h <= T with h = r (mod q), for r = 0..q-1.
 
-
-def _ck_array(T: int, K: float) -> np.ndarray:
-    if _CK_CACHE["vals"] is None or _CK_CACHE["T"] < T or _CK_CACHE["K"] != K:
-        _CK_CACHE.update(T=T, K=K, vals=ck_values(T, K))
-    return _CK_CACHE["vals"]
+    One pass over the c_h blocks serves every class: each block is reduced by
+    one strided dot per class, and the block sums are combined exactly.
+    """
+    T = ceil(H * log(3 * H / rel_tol)) + 1
+    parts = [[] for _ in range(q)]
+    for h0, F in _ck_blocks(T, K):
+        h = np.arange(h0, h0 + F.size, dtype=float)
+        with np.errstate(under="ignore"):
+            w = np.exp(-h / H)
+        if k:
+            w *= h**k
+        lo = max(h0, 1)  # h = 0 is not summed
+        for r in range(q):
+            i = lo - h0 + (r - lo) % q  # the first h >= lo in the class r
+            parts[r].append(float(F[i::q] @ w[i::q]))
+    return tuple(fsum(p) for p in parts)
 
 
 def weighted_sum_S(q: int, v: int | None, H: float, K: float,
@@ -418,20 +465,17 @@ def weighted_sum_S(q: int, v: int | None, H: float, K: float,
     subtract=True gives the S_0 variant: the exact geometric part
     sum h^k e^{-h/H} (restricted to the class when v is given) is removed.
     """
-    if H <= 0 or H > 10**6:
-        raise ResourceError("H outside (0, 1e6] default budget")
-    T = ceil(H * log(3 * H / rel_tol)) + 1
-    v0, step = (1, 1) if v is None else (v % q if v % q else q, q)
-    h = np.arange(v0, T + 1, step, dtype=float)  # the class only
-    with np.errstate(under="ignore"):
-        w = np.exp(-h / H)
-    if k:
-        w *= h**k
-    total = float(_ck_array(T, K)[v0:T + 1:step] @ w)
-    if subtract:
-        if v is None:
+    if not isfinite(H) or H <= 0:
+        raise ArgumentError(f"H must be finite and > 0, got {H}")
+    if H > 10**6:
+        raise ResourceError("H above the 1e6 default budget")
+    if v is None:
+        total = _class_sums(1, H, K, rel_tol, k)[0]
+        if subtract:
             total -= _weighted_geometric(1, 1, H, k) if k else exp_sums(2, 1, H)[0]
-        else:
+    else:
+        total = _class_sums(q, H, K, rel_tol, k)[v % q]
+        if subtract:
             total -= _weighted_geometric(q, v, H, k)
     return total
 

@@ -1,7 +1,8 @@
 """Singular series: pair closed form vs local-density product, weighted sums."""
 
 from fractions import Fraction
-from math import ceil, comb, exp, expm1, log
+from math import ceil, comb, exp, expm1, fsum, log
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,17 +64,21 @@ def ck_values_per_prime_power(T: int, K: float) -> np.ndarray:
     return F
 
 
+B = singular._CK_BLOCK
+
+
 @pytest.mark.parametrize("T", [1, 2, 3] + [p * p + e for p in (3, 7, 11, 43) for e in (-1, 0, 1)]
-                         + [10**5])
+                         + [10**5, B - 1, B, B + 1, 3 * B + 5])
 def test_ck_values_equal_per_prime_power_loop(T):
-    # the primes above sqrt(T) are applied in one gather per cofactor; bit for bit the same
+    # blocks of _CK_BLOCK h, the primes above sqrt(T) applied all at once per block;
+    # bit for bit the same as one array
     assert np.array_equal(singular.ck_values(T, K), ck_values_per_prime_power(T, K))
 
 
 def weighted_sum_full_array(q, v, H, K, rel_tol=1e-9, k=0, subtract=False):
     """weighted_sum_S with the weights built over all of 0..T and then strided."""
     T = ceil(H * log(3 * H / rel_tol)) + 1
-    vals = singular._ck_array(T, K)[: T + 1]
+    vals = singular.ck_values(T, K)
     h = np.arange(T + 1, dtype=float)
     with np.errstate(under="ignore"):
         w = np.exp(-h / H)
@@ -93,12 +98,46 @@ def weighted_sum_full_array(q, v, H, K, rel_tol=1e-9, k=0, subtract=False):
 
 @pytest.mark.parametrize("q,H", [(5, 6.356), (5, 1000.0), (13, 100.0), (13, 2000.0)])
 def test_weighted_sum_S_equals_full_array_weights(q, H):
+    # every T here fits one block, so the class sums are the same dots
+    assert ceil(H * log(3 * H / 1e-9)) + 1 < B
     for v in [None, *range(q)]:
         for k in (0, 1, 2):
             for subtract in (False, True):
                 got = singular.weighted_sum_S(q, v, H, K, k=k, subtract=subtract)
                 assert got == weighted_sum_full_array(q, v, H, K, k=k, subtract=subtract), \
                     (v, k, subtract)
+
+
+@pytest.mark.parametrize("v", [0, 3])
+def test_weighted_sum_S_across_blocks_matches_exact_sum(v):
+    # 26 blocks at H = 1e5: the block dots combined by fsum stay within 1e-14 of the
+    # correctly rounded sum of the c_h w products
+    H, q = 1e5, 5
+    T = ceil(H * log(3 * H / 1e-9)) + 1
+    v0 = v % q or q
+    h = np.arange(v0, T + 1, q, dtype=float)
+    want = fsum((singular.ck_values(T, K)[v0::q] * np.exp(-h / H)).tolist())
+    assert singular.weighted_sum_S(q, v, H, K) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_weighted_sum_S_holds_no_c_h_array():
+    # one full c_h array to T = 3.3e6 would be 26.7 MB; the pass holds a few blocks
+    singular._class_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        singular.weighted_sum_S(5, 0, 1e5, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_weighted_sum_S_one_pass_serves_every_class():
+    singular._class_sums.cache_clear()
+    singular.weighted_sum_S(5, 0, 1000.0, K)
+    singular.weighted_sum_S(5, 3, 1000.0, K)
+    info = singular._class_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_singular_series_trivial_sizes():
@@ -305,5 +344,8 @@ def test_argument_and_resource_errors():
         singular.singular_series_general(TupleConfig((0, 200)))
     with pytest.raises(ResourceError):
         singular.weighted_sum_S(5, 1, 10**7, K)
+    for H in (0.0, -5.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ArgumentError):
+            singular.weighted_sum_S(5, 1, H, K)
     with pytest.raises(ResourceError):
         singular.ms_sum(50, 4)
