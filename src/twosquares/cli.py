@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv as csv_mod
 import io
 import json
+import math
 import os
 import sys
 
@@ -55,6 +56,8 @@ def _emit(header, rows, meta, fmt):
 
 
 def _x_int(x: float) -> int:
+    if not math.isfinite(x):
+        raise ArgumentError(f"x must be finite, got {x}")
     xi = int(x)
     if xi <= 0:
         raise ArgumentError("x must be positive")

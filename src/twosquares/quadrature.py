@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from math import gamma, log, pi, sqrt
+from math import gamma, isfinite, log, pi, sqrt
 
 import numpy as np
 
@@ -199,6 +199,8 @@ def _integrate(fn, eps: float, nodes: int) -> float:
         return float(sum(np.dot(w, fn(sig)) for sig, w in _panel_nodes(eps, n)))
 
     coarse, fine = total(nodes), total(2 * nodes)
+    if not (isfinite(coarse) and isfinite(fine)):
+        raise AccuracyError(f"non-finite integral: {coarse} vs {fine}")
     if abs(fine - coarse) > REL_TARGET * max(abs(fine), 1e-300):
         raise AccuracyError(
             f"node doubling {nodes}->{2*nodes} disagrees: {coarse} vs {fine}",
@@ -217,8 +219,8 @@ def integral_count(x: float, cfg: QuadratureConfig | None = None) -> float:
     full integral is what matches the exact counts.
     """
     cfg = cfg or QuadratureConfig(epsilon=0.0)
-    if x < 1e3:
-        raise ArgumentError("x >= 1000 required")
+    if not isfinite(x) or x < 1e3:
+        raise ArgumentError(f"finite x >= 1000 required, got {x}")
     lx = log(x)
     val = _integrate(lambda s: G_fn(s) * np.exp(s * lx) / s,
                      cfg.epsilon, cfg.nodes)
@@ -228,8 +230,8 @@ def integral_count(x: float, cfg: QuadratureConfig | None = None) -> float:
 def integral_S(q: int, v: int, H: float, cfg: QuadratureConfig | None = None) -> float:
     """Integral form of S(q, v; H); see module docstring for the two cases."""
     cfg = cfg or QuadratureConfig()
-    if H < 5:
-        raise ArgumentError("H >= 5 required")
+    if not isfinite(H) or H < 5:
+        raise ArgumentError(f"finite H >= 5 required, got {H}")
     bundle = constants.build_bundle(q)
     K = bundle.K
     lH = log(H)
@@ -257,8 +259,8 @@ def integral_ktuple_average(k: int, H: float,
     cfg = cfg or QuadratureConfig()
     if not 2 <= k <= 6:
         raise ArgumentError("2 <= k <= 6 required")
-    if H < 5:
-        raise ArgumentError("H >= 5 required")
+    if not isfinite(H) or H < 5:
+        raise ArgumentError(f"finite H >= 5 required, got {H}")
     if cfg.epsilon < 0.01:
         raise ArgumentError("epsilon >= 0.01 required where F' enters the integrand")
     K = constants.landau_ramanujan()

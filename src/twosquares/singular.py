@@ -5,24 +5,21 @@ Three evaluation routes:
 1. ck_singular_series: the exact closed form for pairs {0, h},
        S({0,h}) = (1/2K^2) W2(h) prod_{p=3(4), p|h} (1-p^-(v+1))/(1-1/p),
    W2(h) = 1 for odd h, 2 - 3*2^-v2(h) otherwise; vectorized over h <= T by a
-   multiplicative sieve run in blocks of 2^17 h (_ck_blocks; ck_values joins
-   the blocks).  Primes p <= sqrt(T) multiply their strided multiples in each
-   block once per power.  A prime p > sqrt(T) only occurs to the first power,
-   and at most one such prime divides h, so these factors come last and are
-   applied in one scatter per block over every cofactor m = h/p at once.
+   multiplicative sieve run in blocks of 2^17 h (_ck_blocks).  Primes
+   p <= sqrt(T) multiply their strided multiples in each block once per
+   power.  A prime p > sqrt(T) only occurs to the first power, and at most
+   one such prime divides h, so these factors come last and are applied in
+   one scatter per block over every cofactor m = h/p at once.
    Every h receives the same factors in the same order whatever the blocking.
 
-2. singular_series_general: brute-force local densities.  The level-alpha
-   density delta_D(p, alpha) counts a in [0, p^alpha) with every a+d in
-       S_{p,alpha} = {p^(2b) m : 0 <= b < alpha/2, p ∤ m}   (p = 3 mod 4)
-       S_{2,alpha} = {2^b m : 0 <= b < alpha-1, m = 1 mod 4},
-   exactly as a rational.  Every tuple reads the same read-only membership
-   table per (p, alpha), built once and memoized within DENSITY_BUDGET
-   entries, through two sliced ANDs per offset.  Successive even levels do
-   NOT agree exactly - the increments are exactly geometric with ratio p^-2 -
-   so the limit is certified by exact-rational extrapolation delta^(alpha) =
-   delta(alpha+2) + (delta(alpha+2) - delta(alpha))/(p^2 - 1): two equal
-   successive extrapolants (or two equal raw levels) stabilize the value.
+2. singular_series_general: the product over p = 2 and p = 3 mod 4 of exact
+   local densities.  delta_D(p) is the measure of the a in Z_p with every a+d
+   in S_p = {v_p(n) even} (p = 3 mod 4), S_2 = {odd part of n = 1 mod 4},
+   and local_density gets it as a Fraction by a recursion on the classes of
+   a mod p (mod 4 at p = 2): a class of a that no -d meets is decided at
+   once, and in the class of -d_c the d = d_c (mod p) go one level down as
+   (d - d_c)/p.  The differences shrink by a factor p per level, so each
+   density takes a few Fraction operations and needs no table or limit.
    Primes = 3 mod 4 not dividing any pairwise difference have the exact
    closed factor (1+1/p)^(k-1) (1-(k-1)/p), and the tail over p > cutoff is
    summed through restricted prime zeta values; tail_bound bounds what that
@@ -47,11 +44,7 @@ from math import ceil, exp, expm1, fsum, isfinite, isqrt, log
 import numpy as np
 
 from . import eulerprod as ep
-from .errors import AccuracyError, ArgumentError, ResourceError
-
-DENSITY_BUDGET = 6 * 10**7  # max p^alpha table size, and max entries the membership
-# memo holds in total (19^6 must fit: p=19 triples need the level-6 density
-# before the increments turn geometric)
+from .errors import ArgumentError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -180,108 +173,62 @@ def _ck_blocks(T: int, K: float):
         yield h0, F
 
 
-def ck_values(T: int, K: float) -> np.ndarray:
-    """S({0,h}) for h = 0..T (index 0 unused) via a multiplicative sieve."""
-    if T < 1:
-        raise ArgumentError("T must be >= 1")
-    out = np.empty(T + 1)
-    for h0, F in _ck_blocks(T, K):
-        out[h0:h0 + F.size] = F
-    return out
-
-
 # ---------------------------------------------------------------------------
-# brute-force local densities
+# exact local densities
 
-_MEMBERSHIP: dict = {}  # (p, alpha) -> read-only table, least recently used first
+def _even_3mod4(p: int, D) -> Fraction:
+    """Measure of a in Z_p with v_p(a + d) even for every d in D (p = 3 mod 4).
 
-
-def _membership(p: int, alpha: int) -> np.ndarray:
-    """Read-only boolean table of S_{p,alpha} over [0, p^alpha), memoized.
-
-    Every tuple D visits the same (p, alpha) levels, so each table is built
-    once; the memo holds at most DENSITY_BUDGET entries in total and drops the
-    least recently used tables first.
+    An a in a class mod p that meets no -d has every v_p(a + d) = 0.  In the
+    class of -d_c, for a class c of D mod p, a = -d_c + p b gives
+    v_p(a + d) = 1 + v_p(b + (d - d_c)/p) for the d in c, which must be odd.
     """
-    key = (p, alpha)
-    ok = _MEMBERSHIP.pop(key, None)
-    if ok is None:
-        ok = _build_membership(p, alpha)
-        ok.flags.writeable = False
-    _MEMBERSHIP[key] = ok
-    held = sum(a.size for a in _MEMBERSHIP.values())
-    while held > DENSITY_BUDGET:
-        held -= _MEMBERSHIP.pop(next(iter(_MEMBERSHIP))).size
-    return ok
+    classes: dict = {}
+    for d in D:
+        classes.setdefault(d % p, []).append(d)
+    odd = sum(_odd_3mod4(p, [(d - c[0]) // p for d in c]) for c in classes.values())
+    return (p - len(classes) + odd) / p
 
 
-def _build_membership(p: int, alpha: int) -> np.ndarray:
-    n = p**alpha
-    if n > DENSITY_BUDGET:
-        raise ResourceError(f"p^alpha = {n} exceeds budget {DENSITY_BUDGET}")
-    ok = np.zeros(n, dtype=bool)
-    if p == 2:
-        for b in range(alpha - 1):
-            ok[(1 << b):: (4 << b)] = True  # 2^b * (1 mod 4)
-    else:
-        # v_p(n) even: set multiples of p^b, then clear those of p^(b+1);
-        # the next (b+2)-pass re-sets exactly the even-valuation survivors
-        for b in range(0, alpha, 2):
-            pb = p**b
-            ok[pb::pb] = True
-            ok[pb * p:: pb * p] = False
-    return ok
+def _odd_3mod4(p: int, D) -> Fraction:
+    """Measure of a in Z_p with v_p(a + d) odd for every d in D (p = 3 mod 4)."""
+    if len(D) == 1:
+        return Fraction(1, p + 1)  # sum over b = 1, 3, ... of p^-b (1 - 1/p)
+    if any((d - D[0]) % p for d in D):
+        return Fraction(0)  # a + d = 0 mod p for at most one class of D
+    return _even_3mod4(p, [(d - D[0]) // p for d in D]) / p
 
 
-def local_density(p: int, D: TupleConfig, alpha: int) -> Fraction:
-    """Exact level-alpha density of translates of D inside S_{p,alpha}."""
-    if p % 4 == 1 or alpha < 2 or alpha % 2:
-        raise ArgumentError("p must be 2 or 3 mod 4; alpha even >= 2")
-    ok = _membership(p, alpha)
-    n = ok.size
+def _density_2(D, classes=range(4)) -> Fraction:
+    """Measure of a in Z_2, a = r mod 4 for r in classes (equal masses), with every
+    odd part of a + d = 1 mod 4.
+
+    An odd r + d decides a + d = r + d (mod 4) at once; an even one leaves
+    (a + d)/2 = (r + d)/2 + 2t over t in Z_2, that is the even a of the next level.
+    """
+    if not D:
+        return Fraction(1)
+    if len(D) == 1:
+        return Fraction(1, 2)  # S_2 fills half of each class mod 2
+    total = Fraction(0)
+    for r in classes:
+        if all((r + d) % 4 == 1 for d in D if (r + d) % 2):
+            total += _density_2([(r + d) // 2 for d in D if (r + d) % 2 == 0], (0, 2))
+    return total / len(classes)
+
+
+def local_density(p: int, D: TupleConfig) -> Fraction:
+    """Exact density delta_D(p) of the a in Z_p with every a + d in S_p.
+
+    S_2 holds the n whose odd part is 1 mod 4, S_p for p = 3 mod 4 the n with
+    v_p(n) even.  Each level of the recursion divides the differences of D by
+    p, so it ends after about log_p(spread) levels.
+    """
+    if p % 4 == 1:
+        raise ArgumentError("p must be 2 or 3 mod 4")
     if not D.offsets:
         return Fraction(1)
-    s = D.offsets[0] % n
-    hit = np.concatenate((ok[s:], ok[:s]))  # hit[a] = ok[(a + d) mod n] for the first d
-    for d in D.offsets[1:]:  # hit[a] &= ok[(a + d) mod n], in two slices
-        s = d % n
-        hit[: n - s] &= ok[s:]
-        hit[n - s:] &= ok[:s]
-    return Fraction(int(np.count_nonzero(hit)), n)
-
-
-def stabilized_density(p: int, D: TupleConfig) -> Fraction:
-    """Limit density delta_D(p), certified by exact geometric extrapolation.
-
-    Raw even levels are nondecreasing (S_{p,alpha} lifts into S_{p,alpha+2})
-    and their increments become exactly geometric with ratio p^-2 once alpha
-    clears the p-adic depth of the differences, so the extrapolant
-    delta(a+2) + (delta(a+2)-delta(a))/(p^2-1) is eventually exactly constant.
-    Certificates, strongest first (transients can fake a single repeat -
-    D={0,4}, p=2 repeats 1/4 at levels 2,4 before growing to 5/16):
-      * three successive equal extrapolants;
-      * at budget exhaustion, two successive equal extrapolants;
-      * at budget exhaustion, every computed level equal (empirically exact
-        for odd p with v_p(differences) <= 1; scanned, no counterexamples).
-    """
-    levels = []
-    extraps = []
-    alpha = 2
-    while p**alpha <= DENSITY_BUDGET:
-        levels.append(local_density(p, D, alpha))
-        if len(levels) >= 2:
-            extraps.append(levels[-1] + (levels[-1] - levels[-2]) / (p * p - 1))
-            if len(extraps) >= 3 and extraps[-1] == extraps[-2] == extraps[-3]:
-                return extraps[-1]
-        alpha += 2
-    if len(extraps) >= 2 and extraps[-1] == extraps[-2]:
-        return extraps[-1]
-    if len(levels) >= 2 and all(l == levels[0] for l in levels):
-        return levels[0]
-    raise AccuracyError(
-        f"density for p={p} not stabilized within budget",
-        partial=float(extraps[-1]) if extraps else None,
-    )
+    return _density_2(D.offsets) if p == 2 else _even_3mod4(p, D.offsets)
 
 
 def delta0(p: int) -> Fraction:
@@ -349,7 +296,7 @@ def _tail_log(cutoff: int, k: int, terms: int = 60) -> tuple[float, float]:
 
 
 def singular_series_general(D: TupleConfig, prime_cutoff: int = 50) -> SingularValue:
-    """S(D) = prod_{p != 1 (4)} delta_D(p)/delta_0(p)^k, stabilized + tail.
+    """S(D) = prod_{p != 1 (4)} delta_D(p)/delta_0(p)^k, exact densities + tail.
 
     S is translation invariant, so values are memoized by the normalized offsets.
     """
@@ -365,11 +312,11 @@ def _singular_series(D: TupleConfig, prime_cutoff: int) -> SingularValue:
         raise ArgumentError("oracle scale: spread <= 64 and k <= 4")
     diffs = D.differences()
     cutoff = max(prime_cutoff, D.spread)
-    ratio = stabilized_density(2, D) / delta0(2) ** k
+    ratio = local_density(2, D) / delta0(2) ** k
     acc = float(ratio)
     for p in ep.primes_3mod4(cutoff).tolist():
         if any(d % p == 0 for d in diffs):
-            r = stabilized_density(p, D) / delta0(p) ** k
+            r = local_density(p, D) / delta0(p) ** k
             acc *= float(r)
             if r == 0:
                 break

@@ -257,9 +257,9 @@ def test_criterion_12_oracle_equivalence():
     ck_ok = all(abs(singular.ck_singular_series(h, K)
                     - singular.singular_series_general(TupleConfig((0, h))).value)
                 <= 1e-8 for h in range(1, 51))
-    # (c) local densities stabilize as exact rationals
+    # (c) local densities are exact rationals
     from fractions import Fraction
-    d = singular.stabilized_density(3, TupleConfig((0, 3, 9)))
+    d = singular.local_density(3, TupleConfig((0, 3, 9)))
     rat_ok = isinstance(d, Fraction)
     ok = counts_ok and ck_ok and rat_ok
     assert _report(12, ok, f"brute tuples exact: {counts_ok}, CK vs general "

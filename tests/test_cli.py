@@ -128,6 +128,9 @@ def test_exit_code_2_on_bad_arguments(run):
     assert run("integral-S", "--v", "0", "--h", "100", "--eps", "0.001")[0] == 2
     assert run("weighted-sum", "--v", "1", "--h", "-5")[0] == 2
     assert run("weighted-sum", "--v", "1", "--h", "nan")[0] == 2
+    assert run("integral-S", "--v", "3", "--h", "nan")[0] == 2
+    assert run("pairs", "--x", "nan")[0] == 2
+    assert run("pairs", "--x", "inf")[0] == 2
 
 
 def test_exit_code_3_on_resource_limits(run):

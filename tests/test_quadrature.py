@@ -185,7 +185,7 @@ def test_ktuple_average_against_direct_sum():
     # second moment correction via S^(1)-type sums: 2 sum_d S({0,d})(H - ...)
     # exponential-weight analogue: sum_{h1,h2} S({0,|h1-h2|}) e^{-(h1+h2)/H}
     # = 2 sum_{d>0} S({0,d}) e^{-d/H} sum_{h>0} e^{-2h/H} + diagonal
-    vals = singular.ck_values(30 * H, K)
+    vals = np.concatenate([F for _, F in singular._ck_blocks(30 * H, K)])
     d = np.arange(1, 30 * H + 1, dtype=float)
     cross = float(vals[1:] @ np.exp(-d / H))
     geo = np.exp(-2 / H) / (1 - np.exp(-2 / H))
@@ -219,7 +219,22 @@ def test_accuracy_error_carries_partial():
     assert err.value.partial is not None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_integral_fails_the_certificate(bad):
+    # nan - nan > tol is False: the node-doubling comparison alone would pass it
+    with pytest.raises(AccuracyError):
+        quadrature._integrate(lambda s: np.full_like(s, bad), 0.02, 16)
+
+
 def test_argument_errors():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ArgumentError):
+            quadrature.integral_count(bad)
+        for v in (0, 3):
+            with pytest.raises(ArgumentError):
+                quadrature.integral_S(5, v, bad)
+        with pytest.raises(ArgumentError):
+            quadrature.integral_ktuple_average(2, bad)
     with pytest.raises(ArgumentError):
         quadrature.integral_count(10)
     with pytest.raises(ArgumentError):

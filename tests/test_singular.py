@@ -1,12 +1,13 @@
 """Singular series: pair closed form vs local-density product, weighted sums."""
 
 from fractions import Fraction
-from math import ceil, comb, exp, expm1, fsum, log
+import itertools
+from math import ceil, comb, exp, expm1, fsum, isfinite, log
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twosquares import constants, eulerprod as ep, singular
 from twosquares.singular import TupleConfig
@@ -33,8 +34,13 @@ def test_pair_oracle_equivalence(h):
     assert ck > 0
 
 
+def ck_values(T: int, K: float) -> np.ndarray:
+    """S({0,h}) for h = 0..T, the blocks of the c_h pass joined."""
+    return np.concatenate([F for _, F in singular._ck_blocks(T, K)])
+
+
 def test_ck_values_vectorized():
-    vals = singular.ck_values(50, K)
+    vals = ck_values(50, K)
     for h in (1, 2, 17, 50):
         assert vals[h] == pytest.approx(singular.ck_singular_series(h, K), abs=1e-14)
 
@@ -72,13 +78,13 @@ B = singular._CK_BLOCK
 def test_ck_values_equal_per_prime_power_loop(T):
     # blocks of _CK_BLOCK h, the primes above sqrt(T) applied all at once per block;
     # bit for bit the same as one array
-    assert np.array_equal(singular.ck_values(T, K), ck_values_per_prime_power(T, K))
+    assert np.array_equal(ck_values(T, K), ck_values_per_prime_power(T, K))
 
 
 def weighted_sum_full_array(q, v, H, K, rel_tol=1e-9, k=0, subtract=False):
     """weighted_sum_S with the weights built over all of 0..T and then strided."""
     T = ceil(H * log(3 * H / rel_tol)) + 1
-    vals = singular.ck_values(T, K)
+    vals = ck_values(T, K)
     h = np.arange(T + 1, dtype=float)
     with np.errstate(under="ignore"):
         w = np.exp(-h / H)
@@ -116,7 +122,7 @@ def test_weighted_sum_S_across_blocks_matches_exact_sum(v):
     T = ceil(H * log(3 * H / 1e-9)) + 1
     v0 = v % q or q
     h = np.arange(v0, T + 1, q, dtype=float)
-    want = fsum((singular.ck_values(T, K)[v0::q] * np.exp(-h / H)).tolist())
+    want = fsum((ck_values(T, K)[v0::q] * np.exp(-h / H)).tolist())
     assert singular.weighted_sum_S(q, v, H, K) == pytest.approx(want, rel=1e-14, abs=0)
 
 
@@ -145,19 +151,6 @@ def test_singular_series_trivial_sizes():
     assert singular.singular_series_general(TupleConfig((3,))).value == 1.0
 
 
-def test_local_density_stabilizes_as_exact_rational():
-    # transient example: D = {0,4}, p = 2 repeats 1/4 before growing
-    d04 = TupleConfig((0, 4))
-    assert singular.local_density(2, d04, 2) == Fraction(1, 4)
-    assert singular.local_density(2, d04, 4) == Fraction(1, 4)
-    assert singular.local_density(2, d04, 6) > Fraction(1, 4)
-    val = singular.stabilized_density(2, d04)
-    assert isinstance(val, Fraction)
-    # and the stabilized value is consistent with a deep direct level
-    deep = singular.local_density(2, d04, 20)
-    assert abs(float(val) - float(deep)) < 1e-4
-
-
 def membership_by_valuation(p: int, alpha: int) -> np.ndarray:
     """S_{p,alpha} over [0, p^alpha) from the p-adic valuation of each n."""
     n = np.arange(p**alpha, dtype=np.int32)
@@ -179,68 +172,68 @@ def local_density_by_roll(ok, D):
     return Fraction(int(np.count_nonzero(hit)), ok.size)
 
 
-def test_local_density_equals_roll_reference_on_ms_sum_path(monkeypatch):
-    visited = set()
-    real = singular.local_density
+def extrapolated_density(p: int, alpha: int, D, tables=None) -> Fraction:
+    """delta(alpha+2) + (delta(alpha+2) - delta(alpha))/(p^2 - 1) from the level tables.
 
-    def record(p, D, alpha):
-        visited.add((p, D.offsets, alpha))
-        return real(p, D, alpha)
-
-    monkeypatch.setattr(singular, "local_density", record)
-    singular._singular_series.cache_clear()  # so every tuple goes through the densities again
-    singular.ms_sum(8, 3)
-    assert {p for p, _, _ in visited} == {2, 3, 7}
-    for p, alpha in sorted({(p, alpha) for p, _, alpha in visited}):
-        ok = membership_by_valuation(p, alpha)
-        for D in (TupleConfig(o) for q, o, a in visited if (q, a) == (p, alpha)):
-            assert real(p, D, alpha) == local_density_by_roll(ok, D), (p, D.offsets, alpha)
+    Past the p-adic depth of the differences the increments of the levels are
+    geometric with ratio p^-2, and this is their limit.
+    """
+    tables = tables or [membership_by_valuation(p, a) for a in (alpha, alpha + 2)]
+    lo, hi = (local_density_by_roll(ok, D) for ok in tables)
+    return hi + (hi - lo) / (p * p - 1)
 
 
-def test_membership_memo_is_read_only_and_within_budget():
-    singular.local_density(2, TupleConfig((0, 4)), 20)
-    singular.stabilized_density(7, TupleConfig((0, 7, 14)))  # through level 8
-    assert (7, 8) in singular._MEMBERSHIP and (2, 20) in singular._MEMBERSHIP
-    tables = list(singular._MEMBERSHIP.values())
-    assert sum(t.size for t in tables) <= singular.DENSITY_BUDGET
-    for t in tables:
-        assert not t.flags.writeable
-        with pytest.raises(ValueError):
-            t[0] = True
-    assert np.array_equal(singular._membership(7, 4), membership_by_valuation(7, 4))
+def test_local_density_stabilizes_as_exact_rational():
+    # transient example: D = {0, 4}, p = 2 repeats 1/4 at levels 2 and 4 before growing
+    d04 = TupleConfig((0, 4))
+    levels = [local_density_by_roll(membership_by_valuation(2, a), d04) for a in (2, 4, 6)]
+    assert levels[0] == levels[1] == Fraction(1, 4) < levels[2]
+    val = singular.local_density(2, d04)
+    assert isinstance(val, Fraction)
+    assert val == Fraction(5, 16) == extrapolated_density(2, 16, d04)
 
 
-def test_membership_memo_drops_least_recent_tables(monkeypatch):
-    monkeypatch.setattr(singular, "_MEMBERSHIP", {})
-    monkeypatch.setattr(singular, "DENSITY_BUDGET", 3**6 + 3**4)
-    for p, alpha in ((3, 6), (7, 2), (3, 6), (3, 4)):  # 3^6 + 7^2 + 3^4 is over
-        singular._membership(p, alpha)
-    assert list(singular._MEMBERSHIP) == [(3, 6), (3, 4)]
-    assert sum(t.size for t in singular._MEMBERSHIP.values()) <= singular.DENSITY_BUDGET
-    with pytest.raises(ResourceError):
-        singular._membership(3, 8)
+def test_local_density_equals_roll_reference_on_ms_sum_path():
+    # every triple pattern that ms_sum(14, 3) visits: (0, a, b) with 0 < a < b <= 13
+    for p, alpha in ((2, 16), (3, 8), (7, 4), (11, 4)):
+        tables = [membership_by_valuation(p, a) for a in (alpha, alpha + 2)]
+        for a, b in itertools.combinations(range(1, 14), 2):
+            D = TupleConfig((0, a, b))
+            assert singular.local_density(p, D) == extrapolated_density(p, alpha, D, tables), \
+                (p, D.offsets)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 11])
 def test_delta0_closed_form(p):
-    want = singular.stabilized_density(p, TupleConfig((0,)))
+    want = singular.local_density(p, TupleConfig((0,)))
     assert singular.delta0(p) == want
 
 
 def test_closed_tail_factor_matches_brute_force():
     # singular_series_general uses the closed per-prime factor for every
-    # p = 3 mod 4 that divides no difference; 20 seeded (p, D) against brute force
+    # p = 3 mod 4 that divides no difference; 20 seeded (p, D) against the recursion
     rng = np.random.default_rng(7)
     for _ in range(20):
-        p = int(rng.choice([3, 7, 11]))  # three even levels must fit the p^alpha budget
+        p = int(rng.choice([3, 7, 11]))
         k = int(rng.integers(2, 4))
         while True:
             offs = sorted(rng.choice(64, size=k, replace=False).tolist())
             D = TupleConfig(tuple(int(o) for o in offs)).normalized()
             if all(d % p for d in D.differences()):
                 break
-        brute = singular.stabilized_density(p, D) / singular.delta0(p) ** k
+        brute = singular.local_density(p, D) / singular.delta0(p) ** k
         assert brute == singular._closed_ratio(p, k), (p, D.offsets)
+
+
+@given(st.sets(st.integers(min_value=0, max_value=64), min_size=1, max_size=4),
+       st.integers(min_value=-10**6, max_value=10**6))
+@example({0, 43, 46}, 0)  # p = 3, 23 and 43 each divide one difference
+@settings(max_examples=200, deadline=None)
+def test_singular_series_defined_on_the_whole_range(offsets, shift):
+    # every k <= 4 tuple of spread <= 64, anywhere on the line
+    sv = singular.singular_series_general(TupleConfig(tuple(o + shift for o in offsets)))
+    assert isfinite(sv.value) and sv.value >= 0
+    assert isfinite(sv.tail_bound) and sv.tail_bound >= 0
 
 
 def test_tail_bound_covers_the_terms_after_the_stopping_m():
