@@ -7,16 +7,13 @@ sieved concurrently and merged.
 
 Marking is vectorized, so no Python loop runs per a and the cost per entry
 stays nearly flat in height: on one core of a 2-vCPU Xeon VM a 2^26 segment
-takes about 3 ns per entry near 0 and 4-6 ns near 10^12.  A segment is marked
-in windows of max(2^20, 16 sqrt(hi)) entries, rounded up to a power of two,
-each into one reused bool buffer that is then packed into the segment's
-words, so a segment holds one bit per integer from the start: 8 MB per 2^26
-entries, plus the buffer (1 MB up to hi = 2^32, 16 MB near 10^12).
-Per window, one numpy pass finds for every row a the first b whose a^2 + b^2
-lies in the window (a float sqrt with an exact +-1 integer correction).
-Marking then runs column by column: each step marks the current b of every
-live row and advances it to b + 1, so the writes of one step fall in a band
-about 2 sqrt(hi) wide instead of across the whole window.
+takes about 3 ns per entry near 0, 4-5 ns near 10^12 and 6-7 near 10^13.  It
+is marked in windows of max(2^20, 16 sqrt(hi)) entries, a power of two up to
+2^24, each into one reused bool buffer then packed into the segment's words:
+8 MB per 2^26 entries plus the buffer (1 MB up to hi = 2^32, 16 MB from 2^38).
+The rows a go in blocks of _ROW_BLOCK (`_mark`), so besides those only one
+block's state is held at any height: a 2^26 segment at 10^13 peaks at 57 MB
+in a fresh process, where all rows at once in a 2^26 window took 165 MB.
 
 With threads > 1 the segments are sieved in a process pool that keeps at most
 `threads` segments in flight (`_map_segments`).  The statistics of
@@ -77,7 +74,7 @@ from .eulerprod import primes_up_to
 DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
 COUNT_VALUES_BUDGET = 10**7  # max |V| = 2 sqrt(x) for count_up_to: x <= 2.5e13, ~700 MB peak
 
-_ROW_BLOCK = 1 << 14  # rows per numpy pass when finding first marks (cache-sized temporaries)
+_ROW_BLOCK = 1 << 14  # rows marked together: the marking state is a few 128 KiB arrays
 _CACHE_MAGIC = b"S2SQ2"
 _CACHE_HEADER = struct.Struct("<5sQQQI")  # magic, lo, hi, payload bytes, CRC32 of the payload
 
@@ -198,13 +195,14 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _window_size(hi: int) -> int:
-    """Marking window for a segment ending at hi: a power of two >= 16 sqrt(hi), at least 2^20.
+    """Marking window for a segment ending at hi: a power of two >= 16 sqrt(hi), in [2^20, 2^24].
 
     Finding the first marks costs one pass over the ~0.7 sqrt(hi) rows a per
-    window, against about pi/8 marks per entry, so the factor 16 keeps it near
-    a tenth of the marking work.
+    window, against about pi/8 marks per entry: a fifth of the time at 10^12.
+    Above 2^40 the cap holds the buffer at 16 MB, and that share grows to a
+    third at 10^13.
     """
-    return max(1 << 20, 1 << (16 * (isqrt(hi) + 1) - 1).bit_length())
+    return min(1 << 24, max(1 << 20, 1 << (16 * (isqrt(hi) + 1) - 1).bit_length()))
 
 
 def _first_marks(lo: int, last: int, a0: int, a1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,21 +223,20 @@ def _first_marks(lo: int, last: int, a0: int, a1: int) -> tuple[np.ndarray, np.n
 def _mark(bits: np.ndarray, lo: int) -> None:
     """Set bits[n - lo] for every n = a^2 + b^2 (0 <= a <= b) in [lo, lo + len(bits)).
 
-    One step per column: each step marks the current b of every live row, so
-    its writes fall in a band about 2 sqrt(hi) wide, not across the window.
+    Per block of _ROW_BLOCK rows, one step per column marks the current b of
+    every live row until the block has left the window: one block's state.
     """
     last = bits.size - 1
     amax = isqrt((lo + last) // 2)  # a <= b forces 2a^2 <= hi
-    off, gap = map(np.concatenate, zip(*(
-        _first_marks(lo, last, a0, min(a0 + _ROW_BLOCK, amax + 1))
-        for a0 in range(0, amax + 1, _ROW_BLOCK))))
-    while off.size:
-        bits[off] = True
-        off += gap  # a^2 + (b+1)^2 = a^2 + b^2 + 2b + 1
-        gap += 2
-        live = off <= last
-        if not live.all():
-            off, gap = off[live], gap[live]
+    for a0 in range(0, amax + 1, _ROW_BLOCK):
+        off, gap = _first_marks(lo, last, a0, min(a0 + _ROW_BLOCK, amax + 1))
+        while off.size:
+            bits[off] = True
+            off += gap  # a^2 + (b+1)^2 = a^2 + b^2 + 2b + 1
+            gap += 2
+            live = off <= last
+            if not live.all():
+                off, gap = off[live], gap[live]
 
 
 def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) -> SieveSegment:

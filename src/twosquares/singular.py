@@ -23,7 +23,7 @@ Three evaluation routes:
    Primes = 3 mod 4 not dividing any pairwise difference have the exact
    closed factor (1+1/p)^(k-1) (1-(k-1)/p), and the tail over p > cutoff is
    summed through restricted prime zeta values; tail_bound bounds what that
-   sum truncates.
+   sum truncates and its floating-point evaluation error.
 
 3. weighted sums S(q,v;H), S(H), S^(k), S_0 variants by direct summation of
    ck values against exponential weights, with the geometric parts subtracted
@@ -244,6 +244,10 @@ def _closed_ratio(p: int, k: int) -> Fraction:
 
 
 TAIL_WINDOW = 10**6  # _tail_log sums the m >= 4 terms directly over primes up to here
+# |prime_zeta_3mod4(s) / P3(s) - 1| at s = 2 and 3, the only s that _tail_log evaluates:
+# 1.2e-15 and 5.5e-15 against a 40-digit mpmath P3 (tests/test_singular.py checks the bound)
+P3_REL_ERROR = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 def _sum_bound(a: int, m: int) -> float:
@@ -252,8 +256,8 @@ def _sum_bound(a: int, m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _tail_log(cutoff: int, k: int, terms: int = 60) -> tuple[float, float]:
-    """(log prod_{p>cutoff, p=3(4)} (1+1/p)^(k-1) (1-(k-1)/p), bound on what it drops).
+def _tail_log(cutoff: int, k: int, terms: int = 60) -> tuple[float, float, float]:
+    """(log prod_{p>cutoff, p=3(4)} (1+1/p)^(k-1) (1-(k-1)/p), truncation bound, rounding bound).
 
     Series sum_m c_m sum_{p>cutoff} p^-m with c_m = ((k-1)(-1)^(m+1)-(k-1)^m)/m.
     The m=1 coefficient cancels; for small m the restricted prime zeta minus the
@@ -261,30 +265,38 @@ def _tail_log(cutoff: int, k: int, terms: int = 60) -> tuple[float, float]:
     difference shrinks like nextprime^-m while both terms are ~3^-m), so larger
     m switch to a direct sum over the primes up to TAIL_WINDOW.
 
-    The bound covers the two truncations: the primes above the window in every
-    direct m >= 4 term, and every term after the stopping m (|c_m| <=
-    ((k-1)^m + k-1)/m, the p^-m sums bounded over n = 3 mod 4 by _sum_bound).
-    Rounding and the prime zeta values' own error are not included.
+    The truncation bound covers the primes above the window in every direct
+    m >= 4 term, and every term after the stopping m (|c_m| <= ((k-1)^m +
+    k-1)/m, the p^-m sums bounded over n = 3 mod 4 by _sum_bound).  The
+    rounding bound covers the evaluation: P3's own error (P3_REL_ERROR), and
+    for every sum of n powers p^-m, 2 eps per power (numpy's power is within
+    one ulp) and n eps for the sum, then eps for each difference, product
+    with c_m and addition to the total.
     """
     if k == 1:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     small = ep.primes_3mod4(cutoff).astype(float)
     mid = ep.primes_3mod4(TAIL_WINDOW).astype(float)
     mid = mid[mid > cutoff]
     a_tail, a_window = (n + 1 + (2 - n) % 4 for n in (cutoff, max(cutoff, TAIL_WINDOW)))
-    total = dropped = 0.0
+    total = dropped = rounding = 0.0
     for m in range(2, terms + 1):
         c_m = ((k - 1) * (-1) ** (m + 1) - float(k - 1) ** m) / m
         if c_m == 0.0:
             continue
         if m <= 3:
-            tail_pz = ep.prime_zeta_3mod4(float(m)) - float(np.sum(small ** -float(m)))
+            pz, head = ep.prime_zeta_3mod4(float(m)), float(np.sum(small ** -float(m)))
+            tail_pz = pz - head
+            rounding += abs(c_m) * (P3_REL_ERROR * pz + (small.size + 2) * _EPS * head
+                                    + _EPS * abs(tail_pz))
         else:
             with np.errstate(under="ignore"):
                 tail_pz = float(np.sum(mid ** -float(m)))
             dropped += abs(c_m) * _sum_bound(a_window, m)
+            rounding += abs(c_m) * (mid.size + 3) * _EPS * tail_pz
         term = c_m * tail_pz
         total += term
+        rounding += _EPS * abs(total)
         if abs(term) < 1e-19 and m > 3:
             break
     # the terms after the loop's last m = M: for j > M, |c_j| _sum_bound(a, j) <=
@@ -292,7 +304,7 @@ def _tail_log(cutoff: int, k: int, terms: int = 60) -> tuple[float, float]:
     r = (k - 1) / a_tail
     dropped += ((1 + a_tail / (4 * m)) / (m + 1)
                 * (r ** (m + 1) / (1 - r) + (k - 1) * a_tail ** -(m + 1.0) / (1 - 1 / a_tail)))
-    return total, dropped
+    return total, dropped, rounding
 
 
 def singular_series_general(D: TupleConfig, prime_cutoff: int = 50) -> SingularValue:
@@ -322,10 +334,10 @@ def _singular_series(D: TupleConfig, prime_cutoff: int) -> SingularValue:
                 break
         else:
             acc *= float(_closed_ratio(p, k))
-    tail, dropped = _tail_log(cutoff, k)
+    tail, dropped, rounding = _tail_log(cutoff, k)
     acc *= exp(tail)
-    # |log error| <= dropped moves the value by at most acc (e^dropped - 1)
-    return SingularValue(acc, "local_density_product", cutoff, acc * expm1(dropped))
+    # |log error| <= dropped + rounding moves the value by at most acc (e^(dropped + rounding) - 1)
+    return SingularValue(acc, "local_density_product", cutoff, acc * expm1(dropped + rounding))
 
 
 def s0(D: TupleConfig, prime_cutoff: int = 50) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosquares import progressions, refdata, sieve
+from twosquares import eulerprod, progressions, refdata, sieve
 from twosquares.errors import ArgumentError, ResourceError
 
 def brute_two_squares_set(limit: int) -> set:
@@ -46,6 +46,37 @@ def reference_segment(lo: int, hi: int) -> np.ndarray:
             continue
         b = np.arange(bmin, bmax + 1, dtype=np.int64)
         bits[a2 + b * b - lo] = True
+    return bits
+
+
+def valuation_segment(lo: int, hi: int) -> np.ndarray:
+    """Bits of [lo, hi] by the valuation rule; shares no code with the sieve's marking.
+
+    n >= 1 is in E iff v_p(n) is even for every prime p = 3 (mod 4).  An even
+    power of such a p is 1 (mod 4), so dividing it out leaves the class of the
+    odd part mod 4 alone; once every such p <= sqrt(hi) has an even valuation,
+    at most one prime factor above sqrt(hi) is left, to the first power.  So
+    n is in E iff no p = 3 (mod 4) up to sqrt(hi) divides n to an odd power and
+    the odd part of n is 1 (mod 4).  Adding +1 at the multiples of p^k for odd
+    k and -1 for even k leaves 1 at n for each such p with v_p(n) odd, so the
+    sum counts those p.  One strided pass per power p^k <= hi; powers above the
+    range length hit at most one entry, so those are added together per k.
+    """
+    n = hi - lo + 1
+    odd = np.zeros(n, dtype=np.int8)  # how many p = 3 (mod 4), p <= sqrt(hi), have v_p odd
+    base = eulerprod.primes_3mod4(isqrt(hi))
+    power, sign = base.copy(), 1
+    while power.size:
+        for q in power[power < n].tolist():
+            odd[-lo % q::q] += sign
+        at = -lo % power[power >= n]
+        np.add.at(odd, at[at < n], sign)
+        keep = power <= hi // base
+        base, power, sign = base[keep], power[keep] * base[keep], -sign
+    v = np.arange(lo, hi + 1, dtype=np.int64)
+    v[v == 0] = 1  # 0 = 0^2 + 0^2: its valuations are not finite
+    bits = (odd == 0) & (v // (v & -v) % 4 == 1)
+    bits[:lo == 0] = True
     return bits
 
 
@@ -213,6 +244,38 @@ def test_threads_deterministic():
 ])
 def test_segment_matches_reference_loop(lo, hi):
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 10**5), (10**9 - 5000, 10**9 + 5000), (2**32 - 3000, 2**32 + 3000),
+])
+def test_valuation_oracle_matches_reference_loop(lo, hi):
+    assert np.array_equal(valuation_segment(lo, hi), reference_segment(lo, hi))
+
+
+@pytest.mark.parametrize("lo, start, stop", [
+    (2**40 + 3, 0, 2**20),
+    (10**13, 0, 2**20),
+    (10**13, 2**24 - 2**19, 2**24 + 2**19),  # across the edge of the first 2^24 window
+])
+def test_high_segments_match_valuation_oracle(lo, start, stop):
+    # the reference loop takes one Python step per row: 2.2 million rows at 1e13
+    seg = sieve.sieve_segment(lo, lo + stop - 1)
+    assert np.array_equal(seg.bits[start:], valuation_segment(lo + start, lo + stop - 1))
+
+
+@pytest.mark.parametrize("lo", [10**10, 10**12, 2**40 + 3, 10**13])
+def test_marking_memory_does_not_depend_on_height(lo):
+    # the window's bools, the words, and one row block's state: all rows at
+    # once took 22 MB more at 1e12 and 50 MB at 1e13
+    n = 2**22
+    tracemalloc.start()
+    try:
+        sieve.sieve_segment(lo, lo + n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n + n // 8 + 2**21, peak
 
 
 PACKED_SEGMENTS = [

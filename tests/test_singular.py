@@ -1,14 +1,17 @@
 """Singular series: pair closed form vs local-density product, weighted sums."""
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 from math import ceil, comb, exp, expm1, fsum, isfinite, log
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mp_oracles as oracles
 from twosquares import constants, eulerprod as ep, singular
 from twosquares.singular import TupleConfig
 from twosquares.errors import ArgumentError, ResourceError
@@ -238,16 +241,39 @@ def test_singular_series_defined_on_the_whole_range(offsets, shift):
 
 def test_tail_bound_covers_the_terms_after_the_stopping_m():
     # stopped at m = 5, the next terms (c_6 ~ -122 at k = 4) move the tail by ~1e-8
-    tail, dropped = singular._tail_log(50, 4, terms=5)
-    full, full_dropped = singular._tail_log(50, 4)
+    tail, dropped, _ = singular._tail_log(50, 4, terms=5)
+    full, full_dropped, _ = singular._tail_log(50, 4)
     assert abs(tail) * 1e-15 < abs(full - tail) <= dropped
     assert full_dropped < 1e-17
+
+
+@lru_cache(maxsize=None)
+def _p3_tail_oracle(m):
+    """sum_{p > 50, p = 3 (4)} p^-m from mpmath alone, at the caller's precision."""
+    head = mp.fsum(mp.power(int(p), -m) for p in ep.primes_3mod4(50))
+    return oracles.prime_zeta_3mod4(m) - head
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tail_bound_covers_the_evaluation_error(k):
+    # the float tail is off by 1e-16 .. 6e-16 at cutoff 50, mostly from P3 at s = 2
+    # and 3, while the truncation bound alone is 4e-20 .. 2e-18
+    with mp.workdps(40):
+        for s in (2, 3):
+            want = oracles.prime_zeta_3mod4(s)
+            assert abs(ep.prime_zeta_3mod4(float(s)) / want - 1) <= singular.P3_REL_ERROR
+        ref, m = mp.mpf(0), 2
+        while mp.mpf(k) ** m * mp.power(50, -m) > 1e-30:  # the terms left after m are below it
+            ref += mp.mpf((k - 1) * (-1) ** (m + 1) - (k - 1) ** m) / m * _p3_tail_oracle(m)
+            m += 1
+        tail, dropped, rounding = singular._tail_log(50, k)
+        assert abs(tail - ref) <= dropped + rounding
 
 
 def test_tail_bound_covers_primes_above_the_direct_window():
     # a larger direct window (primes up to 10^7) against the bound and a placeholder
     cutoff, k = 10**5, 4
-    tail, dropped = singular._tail_log(cutoff, k)
+    tail, dropped, rounding = singular._tail_log(cutoff, k)
     ps = ep.primes_3mod4(10**7)
     ps = ps[ps > singular.TAIL_WINDOW].astype(float)
     extra = 0.0
@@ -257,7 +283,7 @@ def test_tail_bound_covers_primes_above_the_direct_window():
     assert abs(tail) * 1e-15 < abs(extra) <= dropped
     sv = singular.singular_series_general(TupleConfig((0, 1, 2, 3)), prime_cutoff=cutoff)
     assert sv.value * abs(expm1(extra)) <= sv.tail_bound
-    assert sv.tail_bound == sv.value * expm1(dropped)
+    assert sv.tail_bound == sv.value * expm1(dropped + rounding)
 
 
 def test_exp_sums_geometric_identities():
