@@ -5,9 +5,12 @@ histograms come from one mergeable reducer over the windows of r consecutive
 E-elements that start at or below x.  Successors may exceed x: for r > 1 the
 sieve runs to x + w, where (x, x + w] holds 5 elements of E by the x^(1/4) gap
 bound (`sieve._successor_window`), enough for every r <= 6.  w depends on x
-alone, so every statistic of one x reads the same segments.  Each segment is
-reduced in blocks of BLOCK entries, in the pool workers when threads > 1; the
-parent merges the states in segment order.
+alone, so every statistic of one x reads the same segments, each cut into the
+same marking windows (`sieve._window_size` of its end) and cache files.  Each
+segment is reduced one window at a time, a window in blocks of BLOCK entries,
+in the pool workers when threads > 1; the parent merges the states in segment
+order.  A process holds one window, never a segment: 128 KB of packed words
+below hi = 2^32, plus the 1 MB marking buffer when it sieves.
 
 The residue statistics never form an E-element: each block's residues mod q
 come straight from the segment's packed bits (`SieveSegment.residues`, uint8
@@ -115,16 +118,20 @@ def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_bud
                     cache_dir: str | None) -> _Reducer:
     """Reducer state of E cap [lo, hi]; in a pool worker only this state travels back.
 
-    The segment is read in blocks of BLOCK entries, and the block that holds x is
-    cut after x, so each run fed is wholly <= x or wholly above it.
+    The segment is taken one marking window at a time, the windows `sieve_segment`
+    marks, each sieved or read from its own cache file and fed before the next, so
+    one window is held at a time, never the segment.  A window is read in blocks of
+    BLOCK entries, and the block that holds x is cut after x, so each run fed is
+    wholly <= x or wholly above it.
     """
     red = _Reducer(r, q)
-    seg = sieve._cached_segment(lo, hi, segment_budget, cache_dir)
-    n, cut = hi - lo + 1, x - lo + 1  # the entries below cut are <= x
-    edges = sorted({*range(0, n, BLOCK), n, min(max(cut, 0), n)})
-    for start, stop in pairwise(edges):
-        run = seg.values(start, stop) if q is None else seg.residues(q, start, stop)
-        red.feed(run, run.size if stop <= cut else 0)
+    for a, b in sieve._segment_ranges(lo, hi, sieve._window_size(hi)):
+        window = sieve._cached_segment(a, b, segment_budget, cache_dir)
+        n, cut = b - a + 1, x - a + 1  # the entries below cut are <= x
+        edges = sorted({*range(0, n, BLOCK), n, min(max(cut, 0), n)})
+        for start, stop in pairwise(edges):
+            run = window.values(start, stop) if q is None else window.residues(q, start, stop)
+            red.feed(run, run.size if stop <= cut else 0)
     return red
 
 

@@ -20,11 +20,14 @@ With threads > 1 the segments are sieved in a process pool that keeps at most
 `progressions` reduce inside the workers, so only a small reducer state
 travels back per segment, never the segment itself.
 
-The optional per-segment cache file holds a segment's packed words as they are
-in memory, after a header with its bounds, the payload length and a zlib CRC32:
-a miss writes the words with no copy, and a hit checks the CRC and wraps the
-file's bytes.  A truncated, corrupt or old-format file is recomputed and
-rewritten.
+The optional cache holds one file per range fetched (`_cached_segment`).
+`progressions` fetches the marking windows of each segment one at a time, so
+the cache holds one file per window and a process never holds more than one
+window: 128 KB of words below hi = 2^32, 2 MB near 10^12.  A file is the
+range's packed words as they are in memory, after a header with its bounds,
+the payload length and a zlib CRC32: a miss writes the words with no copy, and
+a hit checks the CRC and wraps the file's bytes.  A truncated, corrupt or
+old-format file is recomputed and rewritten.
 
 A segment is read by entry range, in blocks: `values` gives the int64
 E-elements and `residues(q)` their residues mod q without forming them (the
@@ -253,22 +256,29 @@ def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) 
     words = np.zeros((n + 63) // 64 * 8, dtype=np.uint8)
     step = _window_size(hi)  # a power of two >= 2^20, so each window starts on a byte
     window = np.zeros(min(step, n), dtype=bool)
-    for start in range(lo, hi + 1, step):
+    for start, stop in _segment_ranges(lo, hi, step):
         if start > lo:
             window.fill(False)
-        bits = window[:hi - start + 1]
+        bits = window[:stop - start + 1]
         _mark(bits, start)
         at = (start - lo) >> 3
         words[at:at + (bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
     return SieveSegment(lo, hi, words)
 
 
-def _segment_ranges(lo: int, hi: int, segment_budget: int):
-    for start in range(lo, hi + 1, segment_budget):
-        yield start, min(start + segment_budget - 1, hi)
+def _segment_ranges(lo: int, hi: int, size: int):
+    """The ranges [a, b] that cut [lo, hi] into pieces of `size` entries, the last one short.
+
+    With size = segment_budget these are the segments of a pass; with
+    size = _window_size(hi) they are the marking windows of the segment [lo, hi],
+    which `progressions` also reads and caches one at a time.
+    """
+    for start in range(lo, hi + 1, size):
+        yield start, min(start + size - 1, hi)
 
 
 def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None) -> SieveSegment:
+    """sieve_segment(lo, hi), read from or written to the file s2sq_{lo}_{hi}.bin in cache_dir."""
     if cache_dir is None:
         return sieve_segment(lo, hi, segment_budget)
     path = os.path.join(cache_dir, f"s2sq_{lo}_{hi}.bin")
@@ -286,7 +296,7 @@ def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None
     with open(tmp, "wb") as fh:
         fh.write(seg._header())
         fh.write(seg.words)
-    os.replace(tmp, path)  # checkpoint per segment so interrupted runs resume
+    os.replace(tmp, path)  # checkpoint per window fetched, so an interrupted run resumes there
     return seg
 
 

@@ -116,6 +116,11 @@ def test_prime_zeta_3mod4_matches_direct_sum():
     for s in (2.0, 3.0, 4.0):
         want = float(oracles.prime_zeta_3mod4(s))
         assert ep.prime_zeta_3mod4(s) == pytest.approx(want, rel=1e-14)
+    # below TAIL_FROM = 8 the error is near-absolute and P3 falls like 3^-s:
+    # 4.5e-14 and -1.2e-13 at s = 5 and 6; the direct product gives -2.6e-16 at 8
+    for s in (5.0, 6.0, 8.0):
+        want = float(oracles.prime_zeta_3mod4(s))
+        assert ep.prime_zeta_3mod4(s) == pytest.approx(want, rel=2e-13)
 
 
 def beta1_direct(prime_bound: int = 10**6):

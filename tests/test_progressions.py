@@ -64,6 +64,36 @@ def test_pair_marginals_match_singles(q, x):
 
 BRUTE_X = 3000  # E has gaps of at most 15 below 3100, so BRUTE_E holds 5 successors of x
 BRUTE_E = [n for n in range(1, BRUTE_X + 100) if sieve.is_sum_of_two_squares(n)]
+WIDE_X = 10**5  # E has gaps of at most 25 below 10^5 + 200, so WIDE_E holds 5 successors of x
+WIDE_E = sorted(n for n in {a * a + b * b for a in range(317) for b in range(a, 317)}
+                if 1 <= n <= WIDE_X + 200)
+
+
+def _check_against_brute_list(E, x, q, r, block, **kw):
+    """Every statistic of x, with progressions.BLOCK = block, against the listed elements E."""
+    if q == 257:
+        r = min(r, 2)  # 257^2 cells take int64 keys; 257^3 would be a 17M-cell table
+    elif q != 5:
+        r = min(r, 4)  # every 1-entry segment allocates q^r cells: 5^6 is 15,625, 17^6 24M
+    starts = [i for i, v in enumerate(E) if v <= x]
+    want = np.zeros((q,) * r, dtype=np.int64)
+    for i in starts:
+        want[tuple(v % q for v in E[i:i + r])] += 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progressions, "BLOCK", block)
+        assert np.array_equal(progressions.count_consecutive_tuples(x, q, r, **kw).counts, want)
+        if r == 1:
+            assert np.array_equal(progressions.count_by_residue(x, q, **kw).counts, want)
+        if r == 2:
+            singles, pairs = progressions.residue_pair_stats(x, q, **kw)
+            assert np.array_equal(pairs.counts, want)
+            assert np.array_equal(singles.counts, want.sum(axis=1))
+        if r == 2 and x >= 2:
+            gaps = {}
+            for i in starts:
+                g = E[i + 1] - E[i]
+                gaps[g] = gaps.get(g, 0) + 1
+            assert progressions.gap_histogram(x, **kw) == gaps
 
 
 @given(x=st.integers(min_value=1, max_value=BRUTE_X),
@@ -77,30 +107,26 @@ def test_statistics_match_brute_list_across_segment_edges(x, q, r, budget, block
     # budgets and blocks of 1-3 entries give runs with fewer than r-1 elements or
     # none, so reducer states merge across short runs; threads=2 reduces in workers.
     # At r = 5 and 6 the window's successors past x merge across 1-entry segments
-    if q == 257:
-        r = min(r, 2)  # 257^2 cells take int64 keys; 257^3 would be a 17M-cell table
-    elif q != 5:
-        r = min(r, 4)  # every 1-entry segment allocates q^r cells: 5^6 is 15,625, 17^6 24M
-    kw = {"segment_budget": budget, "threads": 2 if pooled and budget >= 64 else 1}
-    starts = [i for i, v in enumerate(BRUTE_E) if v <= x]
-    want = np.zeros((q,) * r, dtype=np.int64)
-    for i in starts:
-        want[tuple(v % q for v in BRUTE_E[i:i + r])] += 1
+    _check_against_brute_list(BRUTE_E, x, q, r, block, segment_budget=budget,
+                              threads=2 if pooled and budget >= 64 else 1)
+
+
+@given(x=st.integers(min_value=1, max_value=WIDE_X) | st.integers(min_value=WIDE_X // 2,
+                                                                  max_value=WIDE_X),
+       q=st.sampled_from([5, 13, 257]),
+       r=st.integers(min_value=1, max_value=6),
+       budget=st.sampled_from([2**10, 3000, 2**15, 2**17]),
+       block=st.sampled_from([100, 2**9, progressions.BLOCK]),
+       pooled=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_statistics_match_brute_list_across_window_edges(x, q, r, budget, block, pooled):
+    # marking windows of 2^10 entries (a multiple of 8, so each starts on a byte):
+    # segments are reduced window by window, and the window, block and segment
+    # edges and the cut after x all fall inside [1, 10^5]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(progressions, "BLOCK", block)
-        assert np.array_equal(progressions.count_consecutive_tuples(x, q, r, **kw).counts, want)
-        if r == 1:
-            assert np.array_equal(progressions.count_by_residue(x, q, **kw).counts, want)
-        if r == 2:
-            singles, pairs = progressions.residue_pair_stats(x, q, **kw)
-            assert np.array_equal(pairs.counts, want)
-            assert np.array_equal(singles.counts, want.sum(axis=1))
-        if r == 2 and x >= 2:
-            gaps = {}
-            for i in starts:
-                g = BRUTE_E[i + 1] - BRUTE_E[i]
-                gaps[g] = gaps.get(g, 0) + 1
-            assert progressions.gap_histogram(x, **kw) == gaps
+        mp.setattr(sieve, "_window_size", lambda hi: 1 << 10)
+        _check_against_brute_list(WIDE_E, x, q, r, block, segment_budget=budget,
+                                  threads=2 if pooled else 1)
 
 
 def test_gap_histogram_small_examples():

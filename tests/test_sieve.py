@@ -445,6 +445,27 @@ def test_corrupt_cache_files_are_recomputed(tmp_path):
         sieve.SieveSegment.from_bytes(f.read_bytes())
 
 
+def test_corrupt_window_file_is_recomputed_not_counted(tmp_path, monkeypatch):
+    # windows of 2^10 entries: one cache file per window, named by its range
+    monkeypatch.setattr(sieve, "_window_size", lambda hi: 1 << 10)
+    x, d = 10**5, str(tmp_path)
+    fresh = progressions.residue_pair_stats(x, 5)[1].counts
+    assert np.array_equal(progressions.residue_pair_stats(x, 5, cache_dir=d)[1].counts, fresh)
+    windows = sorted((tuple(map(int, f.stem.split("_")[1:])), f)
+                     for f in tmp_path.glob("s2sq_*.bin"))
+    assert len(windows) == 98  # [1, x] and its successors past x, 2^10 entries at a time
+    for (a, b), f in windows:  # each is the window's segment as sieve_segment gives it
+        assert f.read_bytes() == sieve.sieve_segment(a, b).to_bytes()
+    middle = windows[len(windows) // 2][1]
+    blob = bytearray(middle.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    middle.write_bytes(bytes(blob))
+    with pytest.raises(ArgumentError):
+        sieve.SieveSegment.from_bytes(middle.read_bytes())
+    assert np.array_equal(progressions.residue_pair_stats(x, 5, cache_dir=d)[1].counts, fresh)
+    sieve.SieveSegment.from_bytes(middle.read_bytes())  # rewritten intact
+
+
 def test_pair_stats_peak_memory_is_below_a_third_of_a_byte_per_integer(tmp_path):
     # the parent's own peak, numpy arrays included, on the pass that sieves and
     # writes the cache and on the pass that reads it; one byte per entry was 1.5 x
@@ -458,6 +479,22 @@ def test_pair_stats_peak_memory_is_below_a_third_of_a_byte_per_integer(tmp_path)
         finally:
             tracemalloc.stop()
         assert peak < x / 3, (cached, peak)
+
+
+def test_pair_stats_hold_one_window_not_one_segment(tmp_path):
+    # one 2^25-entry segment, reduced one 2^20-entry marking window at a time:
+    # 128 KB of words and the 1 MB marking buffer, where the whole segment's
+    # words took 4 MB more on both passes
+    x = 2**25 - 1000
+    for cached in (False, True):
+        tracemalloc.start()
+        try:
+            progressions.residue_pair_stats(x, 5, segment_budget=x, cache_dir=str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (cached, peak)
+    assert len(list(tmp_path.glob("s2sq_*.bin"))) == 33  # 32 windows below x, 1 past it
 
 
 def test_count_memory_guard_raises_before_allocating():
