@@ -21,6 +21,7 @@ step of log_ep3.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -60,6 +61,29 @@ def primes_up_to(n: int) -> np.ndarray:
         if isp[p]:
             isp[p * p :: p] = False
     return np.flatnonzero(isp)
+
+
+_PRIME_CHUNK = 1 << 21  # integers per chunk of _primes_3mod4_chunks (even, so chunks keep parity)
+
+
+def _primes_3mod4_chunks(lo: int, hi: int):
+    """Yield (b, the primes p = 3 mod 4 in [a, b)) over the chunks [a, b) of [lo, hi), in order.
+
+    Each chunk sieves its odd entries by the odd primes <= sqrt(hi - 1); it needs
+    lo > sqrt(hi - 1), so that no sieving prime is an entry and every odd composite
+    entry has one of them as a factor.  Entry i of a chunk is the odd n = a1 + 2i,
+    which p divides for i = -a1 (p + 1)/2 mod p, (p + 1)/2 being the inverse of 2.
+    """
+    P = primes_up_to(isqrt(hi - 1))[1:]
+    half = (P + 1) // 2
+    for a in range(lo, hi, _PRIME_CHUNK):
+        b = min(a + _PRIME_CHUNK, hi)
+        a1 = a | 1
+        odd = np.ones((b - a1 + 1) // 2, dtype=bool)
+        for p, i in zip(P.tolist(), (-a1 % P * half % P).tolist()):
+            odd[i::p] = False
+        j = (3 - a1) % 4 // 2  # a1 + 2i = 3 mod 4 exactly for i = j mod 2
+        yield b, a1 + 2 * j + 4 * np.flatnonzero(odd[j::2])
 
 
 @lru_cache(maxsize=8)

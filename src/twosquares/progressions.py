@@ -21,6 +21,7 @@ int64 values.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import pairwise
@@ -125,6 +126,8 @@ def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_bud
     wholly <= x or wholly above it.
     """
     red = _Reducer(r, q)
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)  # once here, not once per window file
     for a, b in sieve._segment_ranges(lo, hi, sieve._window_size(hi)):
         window = sieve._cached_segment(a, b, segment_budget, cache_dir)
         n, cut = b - a + 1, x - a + 1  # the entries below cut are <= x

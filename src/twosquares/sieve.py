@@ -63,7 +63,6 @@ import os
 import struct
 import zlib
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -278,7 +277,10 @@ def _segment_ranges(lo: int, hi: int, size: int):
 
 
 def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None) -> SieveSegment:
-    """sieve_segment(lo, hi), read from or written to the file s2sq_{lo}_{hi}.bin in cache_dir."""
+    """sieve_segment(lo, hi), read from or written to the file s2sq_{lo}_{hi}.bin in cache_dir.
+
+    cache_dir must exist: `progressions` creates it once per segment, before its windows.
+    """
     if cache_dir is None:
         return sieve_segment(lo, hi, segment_budget)
     path = os.path.join(cache_dir, f"s2sq_{lo}_{hi}.bin")
@@ -291,7 +293,6 @@ def _cached_segment(lo: int, hi: int, segment_budget: int, cache_dir: str | None
         if (seg.lo, seg.hi) == (lo, hi):
             return seg
     seg = sieve_segment(lo, hi, segment_budget)
-    os.makedirs(cache_dir, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(seg._header())
@@ -313,6 +314,10 @@ def _map_segments(fn, lo: int, hi: int, segment_budget: int, cache_dir: str | No
         for a, b in ranges:
             yield fn(a, b, segment_budget, cache_dir)
         return
+    # imported here: concurrent.futures loads multiprocessing, socket, subprocess and
+    # logging, which a process that never pools should not pay for at import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         pending = deque(pool.submit(fn, a, b, segment_budget, cache_dir)
                         for a, b in islice(ranges, threads))

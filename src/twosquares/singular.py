@@ -9,7 +9,12 @@ Three evaluation routes:
    p <= sqrt(T) multiply their strided multiples in each block once per
    power.  A prime p > sqrt(T) only occurs to the first power, and at most
    one such prime divides h, so these factors come last and are applied in
-   one scatter per block over every cofactor m = h/p at once.
+   one scatter per block over every cofactor m = h/p at once.  Those primes
+   are sieved by the pass itself, 2^21 integers at a time by the primes
+   <= sqrt(T) (eulerprod._primes_3mod4_chunks), as the blocks reach them, and
+   kept in one uint32 store: 4 bytes per prime = 3 mod 4 up to T, about
+   2T/ln T bytes, and no T-byte sieve.  So T < 2^32 (H below about 1.07e8 at
+   rel_tol = 1e-9).
    Every h receives the same factors in the same order whatever the blocking.
 
 2. singular_series_general: the product over p = 2 and p = 3 mod 4 of exact
@@ -119,6 +124,7 @@ def ck_singular_series(h: int, K: float) -> float:
 
 
 _CK_BLOCK = 1 << 17  # h per block of the c_h pass
+_STORE = np.uint32  # the primes above sqrt(T) that the c_h pass keeps, so T < 2^32
 
 
 def _ck_blocks(T: int, K: float):
@@ -128,6 +134,9 @@ def _ck_blocks(T: int, K: float):
     array over 0..T (2-powers, then each p = 3 mod 4 by its powers, the prime
     above sqrt(T) last), so the values do not depend on the blocking.
     """
+    if T >= 2**32:
+        raise ResourceError(f"T = {T} >= 2^32: the primes above sqrt(T) are stored as uint32")
+    root = isqrt(T)
     # (modulus, ratio) strided factors: p = 2 has weight f(v) = 2 - 3*2^-v, an odd
     # p = 3 mod 4 has (1 - p^-(v+1))/(1 - 1/p); multiply f(v)/f(v-1) at p^v | h
     strides = []
@@ -138,9 +147,7 @@ def _ck_blocks(T: int, K: float):
         strides.append((2**v, f / fprev))
         fprev = f
         v += 1
-    P = ep.primes_3mod4(T)
-    n_small = int(np.searchsorted(P, isqrt(T), side="right"))
-    for p in P[:n_small].tolist():
+    for p in ep.primes_3mod4(root).tolist():
         fprev = 1.0
         pk = p
         v = 1
@@ -151,22 +158,31 @@ def _ck_blocks(T: int, K: float):
             pk *= p
             v += 1
     # p > sqrt(T): only v = 1 occurs, and h = m p has no other such prime, so
-    # this factor is the last one h receives and the indices m p are distinct
-    P = P[n_small:]
-    fbig = (1 - P ** -2.0) / (1 - 1.0 / P)
+    # this factor is the last one h receives and the indices m p are distinct.
+    # These primes are sieved chunk by chunk as the blocks reach them, into one
+    # store sized by pi(T) < 1.25506 T/ln T (Rosser-Schoenfeld); its pages
+    # past the primes found are never written
+    chunks = ep._primes_3mod4_chunks(root + 1, T + 1)
+    store = np.empty(int(1.25506 * T / log(T)) + 1 if T > 1 else 0, dtype=_STORE)
+    stored, sieved = 0, root + 1  # store[:stored] holds the primes = 3 mod 4 below sieved
     scale = 2 * K * K
     for h0 in range(0, T + 1, _CK_BLOCK):
         h1 = min(h0 + _CK_BLOCK, T + 1)
+        while sieved < h1:
+            sieved, new = next(chunks)
+            store[stored:stored + new.size] = new
+            stored += new.size
         F = np.ones(h1 - h0)
         for pk, r in strides:
             F[-h0 % pk:: pk] *= r
-        if P.size:
+        if stored:
+            P = store[:stored]
             # every cofactor m at once: the primes in [ceil(h0/m), (h1-1)//m]
             m = np.arange(1, (h1 - 1) // int(P[0]) + 1)
-            lo = np.searchsorted(P, -(-h0 // m))
-            n = np.searchsorted(P, (h1 - 1) // m, side="right") - lo
-            pos = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
-            F[np.repeat(m, n) * P[pos] - h0] *= fbig[pos]
+            lo = np.searchsorted(P, (-(-h0 // m)).astype(_STORE))
+            n = np.searchsorted(P, ((h1 - 1) // m).astype(_STORE), side="right") - lo
+            p = P[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
+            F[np.repeat(m, n) * p - h0] *= (1 - p ** -2.0) / (1 - 1.0 / p)
         F /= scale
         if h0 == 0:
             F[0] = 0.0
@@ -405,11 +421,13 @@ def _class_sums(q: int, H: float, K: float, rel_tol: float, k: int) -> tuple:
     T = ceil(H * log(3 * H / rel_tol)) + 1
     parts = [[] for _ in range(q)]
     for h0, F in _ck_blocks(T, K):
-        h = np.arange(h0, h0 + F.size, dtype=float)
+        w = np.arange(h0, h0 + F.size, dtype=float)
+        hk = w**k if k else None
+        np.divide(w, -H, out=w)  # -h/H bit for bit, as the sign is exact
         with np.errstate(under="ignore"):
-            w = np.exp(-h / H)
+            np.exp(w, out=w)
         if k:
-            w *= h**k
+            w *= hk
         lo = max(h0, 1)  # h = 0 is not summed
         for r in range(q):
             i = lo - h0 + (r - lo) % q  # the first h >= lo in the class r
@@ -426,8 +444,6 @@ def weighted_sum_S(q: int, v: int | None, H: float, K: float,
     """
     if not isfinite(H) or H <= 0:
         raise ArgumentError(f"H must be finite and > 0, got {H}")
-    if H > 10**6:
-        raise ResourceError("H above the 1e6 default budget")
     if v is None:
         total = _class_sums(1, H, K, rel_tol, k)[0]
         if subtract:

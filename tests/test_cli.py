@@ -135,7 +135,7 @@ def test_exit_code_2_on_bad_arguments(run):
 
 def test_exit_code_3_on_resource_limits(run):
     assert run("table", "--id", "6", "--h", "1e6")[0] == 3
-    assert run("weighted-sum", "--v", "1", "--h", "1e7")[0] == 3
+    assert run("weighted-sum", "--v", "1", "--h", "2e8")[0] == 3  # T >= 2^32
     assert run("sieve-count", "--x", "1e16")[0] == 3  # above sieve.COUNT_VALUES_BUDGET
 
 
@@ -148,17 +148,27 @@ def test_cache_env_var(run, tmp_path, monkeypatch):
     assert run("table", "--id", "3", "--format", "csv")[0] == 0
 
 
-def test_import_loads_no_scipy_or_mpmath():
-    # the package needs only numpy and click at run time; scipy alone took
-    # about half of the import time
+def _loaded_by_import(names):
+    """The modules among `names` that `import twosquares` loads in a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, twosquares; "
-             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+    probe = f"import sys, twosquares; print(sorted(set(sys.modules) & {set(names)!r}))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy_or_mpmath():
+    # the package needs only numpy and click at run time; scipy alone took
+    # about half of the import time
+    assert _loaded_by_import({"scipy", "mpmath"}) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported where a pass first uses one: concurrent.futures brings
+    # multiprocessing, socket, subprocess and logging with it
+    assert _loaded_by_import({"concurrent.futures", "multiprocessing"}) == "[]"
 
 
 def test_reproduce_tables_script(run, capsys):

@@ -39,6 +39,20 @@ def test_primes_lists():
     assert ep.primes_3mod4(25).tolist() == [3, 7, 11, 19, 23]
 
 
+C = ep._PRIME_CHUNK
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 9, 10, 48, 49, 50, 10**4, C - 1, C, C + 1, 2 * C + 3])
+def test_prime_chunks_above_sqrt_equal_the_full_sieve(T):
+    # the c_h pass's store: the primes = 3 mod 4 in (sqrt(T), T], sieved one chunk at a time
+    r = math.isqrt(T)
+    chunks = list(ep._primes_3mod4_chunks(r + 1, T + 1))
+    assert [b for b, _ in chunks] == [min(a + C, T + 1) for a in range(r + 1, T + 1, C)]
+    full = ep.primes_3mod4(T)
+    got = np.concatenate([np.zeros(0, dtype=np.int64)] + [p for _, p in chunks])
+    assert np.array_equal(got, full[full > r])
+
+
 # the brute product truncated at P misses a tail of order P^(1-w)/log P,
 # so the comparison tolerance must scale with w
 @pytest.mark.parametrize("w,tol", [(1.5, 4e-4), (2.0, 1e-8), (3.0, 1e-12),

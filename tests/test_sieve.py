@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 import zlib
+import concurrent.futures
 from concurrent.futures import Future
 from math import isqrt
 
@@ -381,7 +382,7 @@ def test_pool_keeps_at_most_threads_segments_in_flight(monkeypatch):
             peak[0] = max(peak[0], len(uncollected))
             return fut
 
-    monkeypatch.setattr(sieve, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     segs = list(sieve._map_segments(sieve._cached_segment, 1, 10**5, 2**12, None, threads=3))
     assert len(segs) == 25 and peak[0] == 3
     assert [s.lo for s in segs] == list(range(1, 10**5 + 1, 2**12))

@@ -74,13 +74,14 @@ def ck_values_per_prime_power(T: int, K: float) -> np.ndarray:
 
 
 B = singular._CK_BLOCK
+C = ep._PRIME_CHUNK
 
 
 @pytest.mark.parametrize("T", [1, 2, 3] + [p * p + e for p in (3, 7, 11, 43) for e in (-1, 0, 1)]
-                         + [10**5, B - 1, B, B + 1, 3 * B + 5])
+                         + [10**5, B - 1, B, B + 1, 3 * B + 5, C - 1, C, C + 1, 2 * C + 3])
 def test_ck_values_equal_per_prime_power_loop(T):
-    # blocks of _CK_BLOCK h, the primes above sqrt(T) applied all at once per block;
-    # bit for bit the same as one array
+    # blocks of _CK_BLOCK h, the primes above sqrt(T) sieved in chunks of _PRIME_CHUNK
+    # and applied all at once per block; bit for bit the same as one array
     assert np.array_equal(ck_values(T, K), ck_values_per_prime_power(T, K))
 
 
@@ -139,6 +140,21 @@ def test_weighted_sum_S_holds_no_c_h_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_class_sums_peak_memory_grows_with_the_primes_only():
+    # cold at H = 3e5 (T = 1.0e7): the primes above sqrt(T) come in chunks into one
+    # uint32 store, where a T-byte sieve and int64 prime lists took 16 MB
+    singular._class_sums.cache_clear()
+    ep.primes_up_to.cache_clear()
+    ep.primes_3mod4.cache_clear()
+    tracemalloc.start()
+    try:
+        singular._class_sums(5, 3e5, K, 1e-9, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_weighted_sum_S_one_pass_serves_every_class():
@@ -361,8 +377,15 @@ def test_argument_and_resource_errors():
         TupleConfig((1, 1))
     with pytest.raises(ArgumentError):
         singular.singular_series_general(TupleConfig((0, 200)))
-    with pytest.raises(ResourceError):
-        singular.weighted_sum_S(5, 1, 10**7, K)
+    # H = 2e8 has T = 8.2e9 >= 2^32, past the uint32 prime store: refused before allocating
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            singular.weighted_sum_S(5, 1, 2e8, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
     for H in (0.0, -5.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ArgumentError):
             singular.weighted_sum_S(5, 1, H, K)
