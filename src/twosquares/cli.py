@@ -145,8 +145,7 @@ def constants_cmd(q):
 @click.option("--h", type=int, default=None)
 @click.option("--tuple", "tuple_", default=None,
               help="comma-separated offsets, e.g. 0,2,6")
-@click.option("--prime-cutoff", type=int, default=50)
-def singular_cmd(h, tuple_, prime_cutoff):
+def singular_cmd(h, tuple_):
     """Singular series for a pair gap h or a general offset tuple."""
     if (h is None) == (tuple_ is None):
         raise ArgumentError("give exactly one of --h or --tuple")
@@ -159,10 +158,9 @@ def singular_cmd(h, tuple_, prime_cutoff):
             offsets = [int(t) for t in tuple_.split(",")]
         except ValueError as exc:
             raise ArgumentError(f"bad tuple {tuple_!r}") from exc
-        sv = singular.singular_series_general(
-            singular.TupleConfig(tuple(offsets)), prime_cutoff=prime_cutoff)
+        sv = singular.singular_series_general(singular.TupleConfig(tuple(offsets)))
         click.echo(json.dumps({
-            "meta": _meta(tuple=tuple_, prime_cutoff=prime_cutoff),
+            "meta": _meta(tuple=tuple_, prime_cutoff=sv.prime_cutoff),
             "value": sv.value, "method": sv.method,
             "tail_bound": sv.tail_bound}))
 
@@ -171,16 +169,13 @@ def singular_cmd(h, tuple_, prime_cutoff):
 @click.option("--q", type=int, default=5)
 @click.option("--v", type=int, required=True)
 @click.option("--h", "--H", "bigh", type=float, required=True)
-@click.option("--tol", type=float, default=1e-9)
 @click.option("--k", type=int, default=0)
 @click.option("--subtract", is_flag=True)
-def weighted_sum_cmd(q, v, bigh, tol, k, subtract):
+def weighted_sum_cmd(q, v, bigh, k, subtract):
     """S^(k)(q, v; H), optionally with the geometric part subtracted."""
     K = constants.landau_ramanujan()
-    val = singular.weighted_sum_S(q, v, bigh, K, rel_tol=tol, k=k,
-                                  subtract=subtract)
-    click.echo(json.dumps({"meta": _meta(q=q, v=v, H=bigh, tol=tol, k=k,
-                                         subtract=subtract),
+    val = singular.weighted_sum_S(q, v, bigh, K, k=k, subtract=subtract)
+    click.echo(json.dumps({"meta": _meta(q=q, v=v, H=bigh, k=k, subtract=subtract),
                            "value": val, "minus_H_over_q": val - bigh / q}))
 
 
@@ -233,13 +228,11 @@ def predict_tuple(x, q, a_vec):
 @main.command("integral-count")
 @click.option("--x", type=float, required=True)
 @click.option("--eps", type=float, default=0.0)
-@click.option("--nodes", type=int, default=64)
-def integral_count_cmd(x, eps, nodes):
+def integral_count_cmd(x, eps):
     """Integral main term for the count up to x."""
     xi = _x_int(x)
-    cfg = quadrature.QuadratureConfig(epsilon=eps, nodes=nodes)
-    val = quadrature.integral_count(xi, cfg)
-    click.echo(json.dumps({"meta": _meta(x=xi, eps=eps, nodes=nodes),
+    val = quadrature.integral_count(xi, quadrature.QuadratureConfig(epsilon=eps))
+    click.echo(json.dumps({"meta": _meta(x=xi, eps=eps),
                            "value": val, "rounded": round(val)}))
 
 
@@ -248,13 +241,10 @@ def integral_count_cmd(x, eps, nodes):
 @click.option("--v", type=int, required=True)
 @click.option("--h", "--H", "bigh", type=float, required=True)
 @click.option("--eps", type=float, default=0.02)
-@click.option("--nodes", type=int, default=64)
-def integral_s_cmd(q, v, bigh, eps, nodes):
+def integral_s_cmd(q, v, bigh, eps):
     """Integral form of S(q, v; H)."""
-    cfg = quadrature.QuadratureConfig(epsilon=eps, nodes=nodes)
-    val = quadrature.integral_S(q, v, bigh, cfg)
-    click.echo(json.dumps({"meta": _meta(q=q, v=v, H=bigh, eps=eps,
-                                         nodes=nodes),
+    val = quadrature.integral_S(q, v, bigh, quadrature.QuadratureConfig(epsilon=eps))
+    click.echo(json.dumps({"meta": _meta(q=q, v=v, H=bigh, eps=eps),
                            "value": val, "minus_H_over_q": val - bigh / q}))
 
 
@@ -262,12 +252,10 @@ def integral_s_cmd(q, v, bigh, eps, nodes):
 @click.option("--k", type=int, required=True)
 @click.option("--h", "--H", "bigh", type=float, required=True)
 @click.option("--eps", type=float, default=0.02)
-@click.option("--nodes", type=int, default=64)
-def integral_ktuple_cmd(k, bigh, eps, nodes):
+def integral_ktuple_cmd(k, bigh, eps):
     """Integral form of the k-tuple singular-series average."""
-    cfg = quadrature.QuadratureConfig(epsilon=eps, nodes=nodes)
-    val = quadrature.integral_ktuple_average(k, bigh, cfg)
-    click.echo(json.dumps({"meta": _meta(k=k, H=bigh, eps=eps, nodes=nodes),
+    val = quadrature.integral_ktuple_average(k, bigh, quadrature.QuadratureConfig(epsilon=eps))
+    click.echo(json.dumps({"meta": _meta(k=k, H=bigh, eps=eps),
                            "value": val, "minus_H_pow_k": val - bigh**k}))
 
 

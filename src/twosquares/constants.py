@@ -110,29 +110,27 @@ def _C_q_chi_all(q: int):
     return [(chi, C_q_chi(q, chi)) for chi in t.non_principal()]
 
 
-def C_ab(q: int, a: int, b: int, K: float | None = None) -> float:
+def _character_sum(q: int, v: int) -> float:
+    """sum_{chi != chi0} conj(chi)(v) C_{q,chi}, which is real: its imaginary part is checked."""
+    s = sum(chi(v).conjugate() * c for chi, c in _C_q_chi_all(q))
+    if abs(s.imag) > 1e-10:
+        raise AccuracyError(f"character sum at v = {v} mod {q}: imaginary part {s.imag} too large")
+    return s.real
+
+
+def C_ab(q: int, a: int, b: int) -> float:
     """C_{a,b} = (q / (2 K phi(q))) sum_{chi != chi0} conj(chi)(b-a) C_{q,chi}."""
     chars.check_modulus(q)
     if (a - b) % q == 0:
         raise ArgumentError("a = b mod q: off-diagonal only")
-    K = K if K is not None else landau_ramanujan()
-    v = (b - a) % q
-    s = sum(chi(v).conjugate() * c for chi, c in _C_q_chi_all(q))
-    s *= q / (2 * K * (q - 1))
-    if abs(s.imag) > 1e-10:
-        raise AccuracyError(f"C_ab imaginary part {s.imag} too large")
-    return s.real
+    return _character_sum(q, b - a) * (q / (2 * landau_ramanujan() * (q - 1)))
 
 
 def residue_constant(q: int, v: int) -> float:
     """Constant term of S(q, v; H) for v != 0: (1/(2K^2 phi(q))) sum conj(chi)(v) C_{q,chi}."""
     chars.check_modulus(q)
     K = landau_ramanujan()
-    s = sum(chi(v).conjugate() * c for chi, c in _C_q_chi_all(q))
-    s /= 2 * K * K * (q - 1)
-    if abs(s.imag) > 1e-10:
-        raise AccuracyError(f"residue constant imaginary part {s.imag} too large")
-    return s.real
+    return _character_sum(q, v) / (2 * K * K * (q - 1))
 
 
 def pair_conjecture_C1(q: int) -> float:
@@ -261,7 +259,7 @@ def build_bundle(q: int = 5) -> ConstantsBundle:
     for j in (2, 3):
         c_j[j], c0_j[j], c1_j[j] = hi[j]
     cqchi = {i + 1: c for i, (chi, c) in enumerate(_C_q_chi_all(q))}
-    cab = {v: C_ab(q, 0, v, K) for v in range(1, q)}
+    cab = {v: C_ab(q, 0, v) for v in range(1, q)}
     rconst = {v: residue_constant(q, v) for v in range(1, q)}
     tags = {
         "K": "twisted doubling identity (trivial chi), certified against one more level",

@@ -51,9 +51,14 @@ class PredictorContext:
         return log(self.x)
 
 
+def _require_x(x: float) -> None:
+    """Every prediction divides by log x or a power of it; x < 100 is refused."""
+    if not x >= 100:  # NaN included
+        raise ArgumentError(f"x >= 100 required, got {x}")
+
+
 def make_context(x: float, q: int = 5) -> PredictorContext:
-    if x < 100:
-        raise ArgumentError("x >= 100 required")
+    _require_x(x)
     bundle = constants.build_bundle(q)
     alpha = 1 - bundle.K / sqrt(log(x))
     if not 0 < alpha < 1:
@@ -74,8 +79,7 @@ def landau_refined(x: float, J: int = 1) -> float:
     """K x [ (log x)^{-1/2} + c_1 (log x)^{-3/2} if J = 1 ]."""
     if J not in (0, 1):
         raise ArgumentError("J in {0, 1}: higher refined coefficients not wired")
-    if x < 100:
-        raise ArgumentError("x >= 100 required")
+    _require_x(x)
     K = constants.landau_ramanujan()
     lx = log(x)
     val = K * x / sqrt(lx)
@@ -93,6 +97,7 @@ def c1_ap(q: int, a: int) -> float:
 
 def ap_prediction(x: float, q: int, a: int, with_secondary: bool = True) -> float:
     """(K/q) x [(log x)^{-1/2} + c_{1,a} (log x)^{-3/2}]."""
+    _require_x(x)
     bundle = constants.build_bundle(q)
     lx = log(x)
     val = 1 / sqrt(lx)
@@ -106,6 +111,7 @@ def hl_pair_prediction(x: float, q: int, a: int, h: int,
     """x (S({0,h})/q) K^2 [(log x)^-1 + (c_{1,a} + c_{1,a+h}) (log x)^-2]."""
     if h <= 0:
         raise ArgumentError("h >= 1 required")
+    _require_x(x)
     bundle = constants.build_bundle(q)
     frak_s = singular.ck_singular_series(h, bundle.K)
     lx = log(x)
@@ -160,29 +166,26 @@ def asymptotic_S(q: int, v: int, H: float, J: int = 3,
 # ---------------------------------------------------------------------------
 # the D0 + D1 + D2 pipeline
 
-def _s0_values(ctx: PredictorContext, s0_source: str, rel_tol: float):
+def _s0_values(ctx: PredictorContext, s0_source: str):
     """S0(q, u; H) for every residue u, by the requested source."""
     q, H, K = ctx.q, ctx.H, ctx.constants.K
     if s0_source == "numeric":
-        return [singular.weighted_sum_S(q, u, H, K, rel_tol=rel_tol,
-                                        subtract=True)
-                for u in range(q)]
+        return [singular.weighted_sum_S(q, u, H, K, subtract=True) for u in range(q)]
     if s0_source == "asymptotic_J1":
         # S0 = S - E with the geometric sum E(q,u;H) evaluated exactly
-        return [asymptotic_S(q, u, H, J=1) - singular.exp_sums(q, u, H)[1]
+        return [asymptotic_S(q, u, H, J=1) - singular.geometric_sum(q, u, H)
                 for u in range(q)]
     raise ArgumentError(f"s0_source must be one of {_S0_SOURCES}")
 
 
 def pipeline_D012(x: float, q: int, a: int, b: int,
-                  s0_source: str = "numeric",
-                  rel_tol: float = 1e-9) -> float:
+                  s0_source: str = "numeric") -> float:
     """Pair count N(x; q, (a,b)) from the second-moment pipeline."""
     ctx = make_context(x, q)
     K, H, alpha = ctx.constants.K, ctx.H, ctx.alpha
     v = (b - a) % q
-    s0 = _s0_values(ctx, s0_source, rel_tol)
-    E = [singular.exp_sums(q, c, H)[1] for c in range(q)]
+    s0 = _s0_values(ctx, s0_source)
+    E = [singular.geometric_sum(q, c, H) for c in range(q)]
     lam = K / (alpha * sqrt(ctx.log_x))
     d0 = E[v] + s0[v]
     d1 = -2 * lam * sum(s0[(v - c) % q] * E[c] for c in range(q))

@@ -47,25 +47,24 @@ from . import constants, eulerprod as ep
 from .errors import AccuracyError, ArgumentError
 
 
+NODES = 64  # per panel, checked against twice as many
 REL_TARGET = 1e-8  # node-doubling agreement every integral must reach
+EPS_GRID = (0.01, 0.02, 0.05)  # the epsilon values epsilon_sensitivity reports
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The two settings of an integral: its lower cut 1/2 + epsilon and its node count.
+    """The one setting of an integral: its lower cut 1/2 + epsilon.
 
-    The endpoint substitutions (_panel_nodes), the complex step of F' and the
-    node-doubling target REL_TARGET are fixed.
+    The endpoint substitutions (_panel_nodes), the node count NODES, the
+    complex step of F' and the node-doubling target REL_TARGET are fixed.
     """
 
     epsilon: float = 0.02  # 0 means: integrate to the 1/2 endpoint (quartic substitution)
-    nodes: int = 64
 
     def __post_init__(self):
         if not (self.epsilon == 0.0 or 0.01 <= self.epsilon < 0.5):
             raise ArgumentError("epsilon must be 0 or lie in [0.01, 0.5)")
-        if self.nodes < 4:
-            raise ArgumentError("nodes >= 4 required")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,8 @@ def _panel_nodes(eps: float, n: int):
     return [upper, (s2, 4 * t**3 * wt / np.sqrt(1 - s2))]
 
 
-def _integrate(fn, eps: float, nodes: int) -> float:
-    """int_{1/2+eps}^1 fn(sigma)/|sigma-1|^{1/2} d sigma, node-doubling checked."""
+def _integrate(fn, eps: float, nodes: int = NODES) -> float:
+    """int_{1/2+eps}^1 fn(sigma)/|sigma-1|^{1/2} d sigma, nodes checked against 2 nodes."""
 
     def total(n: int) -> float:
         return float(sum(np.dot(w, fn(sig)) for sig, w in _panel_nodes(eps, n)))
@@ -222,8 +221,7 @@ def integral_count(x: float, cfg: QuadratureConfig | None = None) -> float:
     if not isfinite(x) or x < 1e3:
         raise ArgumentError(f"finite x >= 1000 required, got {x}")
     lx = log(x)
-    val = _integrate(lambda s: G_fn(s) * np.exp(s * lx) / s,
-                     cfg.epsilon, cfg.nodes)
+    val = _integrate(lambda s: G_fn(s) * np.exp(s * lx) / s, cfg.epsilon)
     return val / pi
 
 
@@ -237,8 +235,7 @@ def integral_S(q: int, v: int, H: float, cfg: QuadratureConfig | None = None) ->
     lH = log(H)
     v %= q
     if v != 0:
-        integral = _integrate(lambda s: F_chi0(s, q) * np.exp((s - 1) * lH),
-                              cfg.epsilon, cfg.nodes)
+        integral = _integrate(lambda s: F_chi0(s, q) * np.exp((s - 1) * lH), cfg.epsilon)
         return (H / q + bundle.residue_const[v]
                 + integral / (2 * pi * K * K * (q - 1)))
 
@@ -249,7 +246,7 @@ def integral_S(q: int, v: int, H: float, cfg: QuadratureConfig | None = None) ->
         return (F_gamma_prime(s)
                 + F_gamma(s) * (lH - A_q(s, q) / 2)) * np.exp((s - 1) * lH)
 
-    integral = _integrate(fn, cfg.epsilon, cfg.nodes)
+    integral = _integrate(fn, cfg.epsilon)
     return H / q + integral / (pi * K * K)
 
 
@@ -263,6 +260,10 @@ def integral_ktuple_average(k: int, H: float,
         raise ArgumentError(f"finite H >= 5 required, got {H}")
     if cfg.epsilon < 0.01:
         raise ArgumentError("epsilon >= 0.01 required where F' enters the integrand")
+    try:
+        Hk = H**k
+    except OverflowError:
+        raise ArgumentError(f"H^k overflows a float at H = {H}, k = {k}") from None
     K = constants.landau_ramanujan()
     lH = log(H)
 
@@ -270,10 +271,10 @@ def integral_ktuple_average(k: int, H: float,
         return (F_inv_prime(s)
                 + F_inv(s) * lH) * np.exp((s - 1) * lH)
 
-    integral = _integrate(fn, cfg.epsilon, cfg.nodes)
-    return H**k + k * (k - 1) * H ** (k - 1) / (pi * K * K) * integral
+    integral = _integrate(fn, cfg.epsilon)
+    return Hk + k * (k - 1) * H ** (k - 1) / (pi * K * K) * integral
 
 
-def epsilon_sensitivity(q: int, H: float, eps_grid=(0.01, 0.02, 0.05)) -> dict:
-    """integral_S(q, 0; H) across eps values; the spread is part of the contract."""
-    return {e: integral_S(q, 0, H, QuadratureConfig(epsilon=e)) for e in eps_grid}
+def epsilon_sensitivity(q: int, H: float) -> dict:
+    """integral_S(q, 0; H) at each eps of EPS_GRID; the spread is part of the contract."""
+    return {e: integral_S(q, 0, H, QuadratureConfig(epsilon=e)) for e in EPS_GRID}

@@ -13,8 +13,7 @@ Three evaluation routes:
    are sieved by the pass itself, 2^21 integers at a time by the primes
    <= sqrt(T) (eulerprod._primes_3mod4_chunks), as the blocks reach them, and
    kept in one uint32 store: 4 bytes per prime = 3 mod 4 up to T, about
-   2T/ln T bytes, and no T-byte sieve.  So T < 2^32 (H below about 1.07e8 at
-   rel_tol = 1e-9).
+   2T/ln T bytes, and no T-byte sieve.  So T < 2^32 (H below about 1.07e8).
    Every h receives the same factors in the same order whatever the blocking.
 
 2. singular_series_general: the product over p = 2 and p = 3 mod 4 of exact
@@ -31,11 +30,13 @@ Three evaluation routes:
    sum truncates and its floating-point evaluation error.
 
 3. weighted sums S(q,v;H), S(H), S^(k), S_0 variants by direct summation of
-   ck values against exponential weights, with the geometric parts subtracted
-   exactly.  One pass over the c_h blocks reduces each block into the sums of
-   all q classes h = v (mod q) at once (one strided dot per class, the block
-   sums combined by fsum), and only those q sums are memoized per
-   (q, H, K, rel_tol, k): no c_h array outlives its block.
+   ck values against exponential weights, truncated at
+   T = H log(3H/WSUM_REL_TOL), with the geometric parts (geometric_sum)
+   subtracted exactly.  One pass over the c_h blocks reduces each block into
+   the sums of all q classes h = v (mod q) at once (the products c_h w_h of
+   each class summed by numpy's pairwise sum, which no BLAS thread count
+   reorders, and the block sums combined by fsum), and only those q sums are
+   memoized per (q, H, K, k): no c_h array outlives its block.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, expm1, fsum, isfinite, isqrt, log
+from math import ceil, comb, exp, expm1, fsum, isfinite, isqrt, log
 
 import numpy as np
 
@@ -83,8 +84,8 @@ class TupleConfig:
 @dataclass(frozen=True)
 class SingularValue:
     value: float
-    method: str  # "connors_keating" | "local_density_product"
-    prime_cutoff: int
+    method: str  # "local_density_product", the one method that produces a SingularValue
+    prime_cutoff: int  # the cutoff used: PRIME_CUTOFF, or the spread where that is larger
     tail_bound: float
 
 
@@ -323,12 +324,15 @@ def _tail_log(cutoff: int, k: int, terms: int = 60) -> tuple[float, float, float
     return total, dropped, rounding
 
 
-def singular_series_general(D: TupleConfig, prime_cutoff: int = 50) -> SingularValue:
+PRIME_CUTOFF = 50  # primes = 3 mod 4 up to here get their own factor; the rest is the tail
+
+
+def singular_series_general(D: TupleConfig) -> SingularValue:
     """S(D) = prod_{p != 1 (4)} delta_D(p)/delta_0(p)^k, exact densities + tail.
 
     S is translation invariant, so values are memoized by the normalized offsets.
     """
-    return _singular_series(D.normalized(), prime_cutoff)
+    return _singular_series(D.normalized(), PRIME_CUTOFF)
 
 
 @lru_cache(maxsize=None)
@@ -356,69 +360,56 @@ def _singular_series(D: TupleConfig, prime_cutoff: int) -> SingularValue:
     return SingularValue(acc, "local_density_product", cutoff, acc * expm1(dropped + rounding))
 
 
-def s0(D: TupleConfig, prime_cutoff: int = 50) -> float:
+def s0(D: TupleConfig) -> float:
     """S_0(D) = sum over subsets T of D of (-1)^(|D|-|T|) S(T)."""
     D = D.normalized()
     total = 0.0
     for r in range(D.k + 1):
         for sub in itertools.combinations(D.offsets, r):
-            total += (-1) ** (D.k - r) * singular_series_general(
-                TupleConfig(sub), prime_cutoff
-            ).value
+            total += (-1) ** (D.k - r) * singular_series_general(TupleConfig(sub)).value
     return total
 
 
 # ---------------------------------------------------------------------------
-# elementary exponential sums
+# exponentially weighted sums
 
-def exp_sums(q: int, v: int, H: float):
-    """(E(H), E(q,v;H), f(v;q)) - exact geometric evaluations."""
-    if H <= 0:
-        raise ArgumentError("H must be > 0")
-    x = exp(-1.0 / H)
-    E = x / (1 - x)
-    v0 = v % q if v % q else q
-    Eqv = exp(-v0 / H) / (1 - exp(-q / H))
-    f = -0.5 if v % q == 0 else (q - 2 * (v % q)) / (2 * q)
-    return E, Eqv, f
+# sum_{j>=0} j^m y^j = N_m(y)/(1-y)^(m+1) with N_0 = 1 and N_m = y A_m(y), A_m the
+# Eulerian polynomial; _GEOMETRIC[m] holds the coefficients of N_m
+_GEOMETRIC = ((1,), (0, 1), (0, 1, 1), (0, 1, 4, 1), (0, 1, 11, 11, 1))
 
 
-def _weighted_geometric(q: int, v: int, H: float, k: int) -> float:
-    """sum over h > 0, h = v mod q, of h^k e^{-h/H}, exactly (k <= 4)."""
-    y = exp(-q / H)
-    v0 = v % q if v % q else q
+def geometric_sum(q: int, v: int, H: float, k: int = 0) -> float:
+    """E^(k)(q, v; H) = sum over h > 0, h = v (mod q), of h^k e^{-h/H}, exactly (k <= 4).
 
-    def li_neg(m):  # sum_{j>=1} j^m y^j
-        if m == 0:
-            return y / (1 - y)
-        if m == 1:
-            return y / (1 - y) ** 2
-        if m == 2:
-            return y * (1 + y) / (1 - y) ** 3
-        if m == 3:
-            return y * (1 + 4 * y + y * y) / (1 - y) ** 4
-        if m == 4:
-            return y * (1 + y) * (1 + 10 * y + y * y) / (1 - y) ** 5
-        raise ArgumentError("k <= 4 supported")
+    With h = v0 + jq (v0 in 1..q) and y = e^{-q/H} this is
+    e^{-v0/H} sum_m C(k,m) v0^(k-m) q^m sum_{j>=0} j^m y^j; q = 1 gives E^(k)(H).
+    1 - y comes from expm1, so it keeps full precision when q/H is small.
+    """
+    if not isfinite(H) or H <= 0:
+        raise ArgumentError(f"H must be finite and > 0, got {H}")
+    if not 0 <= k < len(_GEOMETRIC):
+        raise ArgumentError("0 <= k <= 4 required")
+    v0 = v % q or q
+    y, d = exp(-q / H), -expm1(-q / H)
+    total = sum(comb(k, m) * v0 ** (k - m) * float(q) ** m
+                * sum(c * y**i for i, c in enumerate(_GEOMETRIC[m])) / d**m
+                for m in range(k + 1))
+    return exp(-v0 / H) * total / d
 
-    from math import comb
 
-    total = float(v0**k)  # j = 0 term
-    for m in range(k + 1):
-        c = comb(k, m) * v0 ** (k - m) * float(q) ** m
-        total += c * (li_neg(m) if m else y / (1 - y))
-    # j=0 contributes v0^k once; the m=0 branch above covers j>=1
-    return exp(-v0 / H) * total
+WSUM_REL_TOL = 1e-9  # the weight e^{-h/H} past T = H log(3H/WSUM_REL_TOL) is dropped
 
 
 @lru_cache(maxsize=None)
-def _class_sums(q: int, H: float, K: float, rel_tol: float, k: int) -> tuple:
+def _class_sums(q: int, H: float, K: float, k: int) -> tuple:
     """sum of S({0,h}) h^k e^{-h/H} over 1 <= h <= T with h = r (mod q), for r = 0..q-1.
 
-    One pass over the c_h blocks serves every class: each block is reduced by
-    one strided dot per class, and the block sums are combined exactly.
+    One pass over the c_h blocks serves every class: each block's products
+    c_h w_h are summed per class by numpy's pairwise sum (a BLAS dot would
+    sum them in an order that depends on its thread count), and the block
+    sums are combined exactly.
     """
-    T = ceil(H * log(3 * H / rel_tol)) + 1
+    T = ceil(H * log(3 * H / WSUM_REL_TOL)) + 1
     parts = [[] for _ in range(q)]
     for h0, F in _ck_blocks(T, K):
         w = np.arange(h0, h0 + F.size, dtype=float)
@@ -428,15 +419,16 @@ def _class_sums(q: int, H: float, K: float, rel_tol: float, k: int) -> tuple:
             np.exp(w, out=w)
         if k:
             w *= hk
+        F *= w
         lo = max(h0, 1)  # h = 0 is not summed
         for r in range(q):
             i = lo - h0 + (r - lo) % q  # the first h >= lo in the class r
-            parts[r].append(float(F[i::q] @ w[i::q]))
+            parts[r].append(float(F[i::q].sum()))
     return tuple(fsum(p) for p in parts)
 
 
 def weighted_sum_S(q: int, v: int | None, H: float, K: float,
-                   rel_tol: float = 1e-9, k: int = 0, subtract: bool = False) -> float:
+                   k: int = 0, subtract: bool = False) -> float:
     """S^(k)(q,v;H) (or the unrestricted S^(k)(H) when v is None).
 
     subtract=True gives the S_0 variant: the exact geometric part
@@ -445,20 +437,15 @@ def weighted_sum_S(q: int, v: int | None, H: float, K: float,
     if not isfinite(H) or H <= 0:
         raise ArgumentError(f"H must be finite and > 0, got {H}")
     if v is None:
-        total = _class_sums(1, H, K, rel_tol, k)[0]
-        if subtract:
-            total -= _weighted_geometric(1, 1, H, k) if k else exp_sums(2, 1, H)[0]
-    else:
-        total = _class_sums(q, H, K, rel_tol, k)[v % q]
-        if subtract:
-            total -= _weighted_geometric(q, v, H, k)
+        q, v = 1, 0
+    total = _class_sums(q, H, K, k)[v % q]
+    if subtract:
+        total -= geometric_sum(q, v, H, k)
     return total
 
 
-def ms_sum(h: int, k: int, prime_cutoff: int = 50) -> float:
+def ms_sum(h: int, k: int) -> float:
     """sum of S_0(D) over all k-subsets D of {1..h} (exact enumeration)."""
-    from math import comb
-
     if comb(h, k) > 10**4:
         raise ResourceError("combinatorial budget exceeded")
     if k == 1:
@@ -470,5 +457,5 @@ def ms_sum(h: int, k: int, prime_cutoff: int = 50) -> float:
         counts[key] = counts.get(key, 0) + 1
     total = 0.0
     for key, c in counts.items():
-        total += c * s0(TupleConfig(key), prime_cutoff)
+        total += c * s0(TupleConfig(key))
     return total

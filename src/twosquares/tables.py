@@ -21,6 +21,7 @@ from .errors import ArgumentError, ResourceError
 # actual counts beyond this x without allow_long_run are refused (tables 1 and 2)
 DEFAULT_SIEVE_BUDGET = 2 * 10**10
 REFERENCE_X = 10**12
+Q = 5  # the modulus of every residue table
 
 
 def _pct(actual, pred):
@@ -34,22 +35,22 @@ def _require_scale(x, allow_long_run):
             f"(--x <= {DEFAULT_SIEVE_BUDGET:g})")
 
 
-def table1(x: float | None = None, q: int = 5, allow_long_run: bool = False,
-           cache_dir=None, threads: int = 1):
+def table1(x: float | None = None, allow_long_run: bool = False, cache_dir=None,
+           threads: int = 1):
     """Consecutive-pair counts N(x; q, (a,b)) for all residue cells."""
     x = REFERENCE_X if x is None else int(x)
     if x == REFERENCE_X and not allow_long_run:
         counts, source = refdata.TABLE1, "reference"
     else:
         _require_scale(x, allow_long_run)
-        _, pairs = progressions.residue_pair_stats(x, q, cache_dir=cache_dir,
+        _, pairs = progressions.residue_pair_stats(x, Q, cache_dir=cache_dir,
                                                    threads=threads)
-        counts = {(a, b): int(pairs.counts[a][b]) for a in range(q)
-                  for b in range(q)}
+        counts = {(a, b): int(pairs.counts[a][b]) for a in range(Q)
+                  for b in range(Q)}
         source = "sieve"
-    meta = {"q": q, "actual_source": source, "x": x}
+    meta = {"q": Q, "actual_source": source, "x": x}
     header = ["a", "b", "count"]
-    rows = [[a, b, counts[(a, b)]] for a in range(q) for b in range(q)]
+    rows = [[a, b, counts[(a, b)]] for a in range(Q) for b in range(Q)]
     return header, rows, meta
 
 
@@ -77,62 +78,61 @@ def table2(xs=None, allow_long_run: bool = False):
     return header, rows, {"xs": xs}
 
 
-def table3(x: float = REFERENCE_X, q: int = 5):
+def table3(x: float = REFERENCE_X):
     """Single-residue counts vs main and secondary predictions."""
     x = int(x)
     header = ["a", "actual", "main", "secondary", "pct_main", "pct_secondary",
               "actual_source"]
     rows = []
-    for a in range(q):
-        if x == REFERENCE_X and q == 5:
+    for a in range(Q):
+        if x == REFERENCE_X:
             actual, src = refdata.TABLE3_ACTUAL[a], "reference"
         else:
             actual, src = None, "skipped"
-        main = round(predictors.ap_prediction(x, q, a, with_secondary=False))
-        sec = round(predictors.ap_prediction(x, q, a, with_secondary=True))
+        main = round(predictors.ap_prediction(x, Q, a, with_secondary=False))
+        sec = round(predictors.ap_prediction(x, Q, a, with_secondary=True))
         rows.append([a, actual, main, sec,
                      _pct(actual, main) if actual else None,
                      _pct(actual, sec) if actual else None, src])
-    return header, rows, {"x": x, "q": q}
+    return header, rows, {"x": x, "q": Q}
 
 
-def table4(x: float = REFERENCE_X, q: int = 5, cells=None):
+def table4(x: float = REFERENCE_X):
     """Pair counts (n, n+h) with n = a mod q vs the two pair predictions."""
     x = int(x)
-    cells = cells or list(refdata.TABLE4)
     header = ["a", "h", "actual", "plain", "refined", "pct_plain",
               "pct_refined", "actual_source"]
     rows = []
-    for a, h in cells:
-        if x == REFERENCE_X and q == 5 and (a, h) in refdata.TABLE4:
+    for a, h in refdata.TABLE4:
+        if x == REFERENCE_X:
             actual, src = refdata.TABLE4[(a, h)][0], "reference"
         else:
             actual, src = None, "skipped"
-        plain = round(predictors.hl_pair_prediction(x, q, a, h, refined=False))
-        ref = round(predictors.hl_pair_prediction(x, q, a, h, refined=True))
+        plain = round(predictors.hl_pair_prediction(x, Q, a, h, refined=False))
+        ref = round(predictors.hl_pair_prediction(x, Q, a, h, refined=True))
         rows.append([a, h, actual, plain, ref,
                      _pct(actual, plain) if actual else None,
                      _pct(actual, ref) if actual else None, src])
-    return header, rows, {"x": x, "q": q}
+    return header, rows, {"x": x, "q": Q}
 
 
-def table5(x: float = REFERENCE_X, q: int = 5):
+def table5(x: float = REFERENCE_X):
     """Consecutive pairs vs the pipeline (both S0 sources) and the conjecture."""
     x = int(x)
-    ctx = predictors.make_context(x, q)
+    ctx = predictors.make_context(x, Q)
     header = ["a", "b", "actual", "pipeline_S0", "pipeline_thm",
               "conjecture_J1", "pct_S0", "pct_thm", "pct_conj",
               "actual_source"]
-    num = {v: predictors.pipeline_D012(x, q, 0, v, "numeric")
-           for v in range(q)}
-    thm = {v: predictors.pipeline_D012(x, q, 0, v, "asymptotic_J1")
-           for v in range(q)}
-    conj = {v: predictors.pair_conjecture(x, q, 0, v) for v in range(q)}
+    num = {v: predictors.pipeline_D012(x, Q, 0, v, "numeric")
+           for v in range(Q)}
+    thm = {v: predictors.pipeline_D012(x, Q, 0, v, "asymptotic_J1")
+           for v in range(Q)}
+    conj = {v: predictors.pair_conjecture(x, Q, 0, v) for v in range(Q)}
     rows = []
-    for a in range(q):
-        for b in range(q):
-            v = (b - a) % q
-            if x == REFERENCE_X and q == 5:
+    for a in range(Q):
+        for b in range(Q):
+            v = (b - a) % Q
+            if x == REFERENCE_X:
                 actual, src = refdata.TABLE1[(a, b)], "reference"
             else:
                 actual, src = None, "skipped"
@@ -141,10 +141,10 @@ def table5(x: float = REFERENCE_X, q: int = 5):
                          _pct(actual, num[v]) if actual else None,
                          _pct(actual, thm[v]) if actual else None,
                          _pct(actual, conj[v]) if actual else None, src])
-    return header, rows, {"x": x, "q": q, "H": ctx.H}
+    return header, rows, {"x": x, "q": Q, "H": ctx.H}
 
 
-def _table_s(v: int, q: int, Hs, allow_long_run: bool):
+def _table_s(v: int, Hs, allow_long_run: bool):
     """S(q,v;H) - H/q rows; Hs defaults to the published H list (1e6 with a long run)."""
     K = constants.landau_ramanujan()
     if Hs is None:
@@ -157,23 +157,23 @@ def _table_s(v: int, q: int, Hs, allow_long_run: bool):
     for H in Hs:
         if H > 10**4 and not allow_long_run:
             raise ResourceError(f"H={H:g} weighted sum needs --allow-long-run")
-        exact = singular.weighted_sum_S(q, v, H, K) - H / q
-        integ = quadrature.integral_S(q, v, H, cfg) - H / q
-        js = [predictors.asymptotic_S(q, v, H, J) - H / q for J in (1, 2, 3)]
+        exact = singular.weighted_sum_S(Q, v, H, K) - H / Q
+        integ = quadrature.integral_S(Q, v, H, cfg) - H / Q
+        js = [predictors.asymptotic_S(Q, v, H, J) - H / Q for J in (1, 2, 3)]
         rows.append([H, round(exact, 5), round(integ, 5)]
                     + [round(j, 5) for j in js]
                     + [_pct(exact, integ)] + [_pct(exact, j) for j in js])
-    return header, rows, {"q": q, "v": v, "epsilon": cfg.epsilon}
+    return header, rows, {"q": Q, "v": v, "epsilon": cfg.epsilon}
 
 
-def table6(q: int = 5, Hs=None, allow_long_run: bool = False):
+def table6(Hs=None, allow_long_run: bool = False):
     """S(q,0;H) - H/q against the integral form and truncated asymptotics."""
-    return _table_s(0, q, Hs, allow_long_run)
+    return _table_s(0, Hs, allow_long_run)
 
 
-def table7(q: int = 5, Hs=None, allow_long_run: bool = False):
+def table7(Hs=None, allow_long_run: bool = False):
     """S(q,3;H) - H/q against the integral form and truncated asymptotics."""
-    return _table_s(3, q, Hs, allow_long_run)
+    return _table_s(3, Hs, allow_long_run)
 
 
 # the options each table takes; giving any other is an ArgumentError

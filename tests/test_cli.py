@@ -64,6 +64,9 @@ def test_singular_both_modes(run):
     code, out = run("singular", "--tuple", "0,2,6")
     assert code == 0
     assert json.loads(out)["method"] == "local_density_product"
+    # the meta reports the cutoff used: the spread where it exceeds PRIME_CUTOFF = 50
+    doc = json.loads(run("singular", "--tuple", "0,2,60")[1])
+    assert doc["meta"]["prime_cutoff"] == 60
 
 
 def test_predict_pairs_md(run):
@@ -129,6 +132,9 @@ def test_exit_code_2_on_bad_arguments(run):
     assert run("weighted-sum", "--v", "1", "--h", "-5")[0] == 2
     assert run("weighted-sum", "--v", "1", "--h", "nan")[0] == 2
     assert run("integral-S", "--v", "3", "--h", "nan")[0] == 2
+    assert run("table", "--id", "3", "--x", "1")[0] == 2    # log x = 0
+    assert run("table", "--id", "4", "--x", "1")[0] == 2
+    assert run("integral-ktuple", "--k", "2", "--h", "1e200")[0] == 2  # H^k overflows
     assert run("pairs", "--x", "nan")[0] == 2
     assert run("pairs", "--x", "inf")[0] == 2
 

@@ -155,6 +155,12 @@ def test_pipeline_sources_agree_roughly():
 def test_argument_errors():
     with pytest.raises(ArgumentError):
         predictors.make_context(10)
+    # x < 100 would divide by log x = 0 at x = 1, or by a power of a small log x
+    for x in (1, 99, float("nan")):
+        with pytest.raises(ArgumentError):
+            predictors.ap_prediction(x, 5, 0)
+        with pytest.raises(ArgumentError):
+            predictors.hl_pair_prediction(x, 5, 0, 1)
     with pytest.raises(ArgumentError):
         predictors.tuple_conjecture(1e9, 5, (1,))
     with pytest.raises(ArgumentError):

@@ -22,8 +22,6 @@ def test_config_validation():
         QuadratureConfig(epsilon=0.005)
     with pytest.raises(ArgumentError):
         QuadratureConfig(epsilon=0.5)
-    with pytest.raises(ArgumentError):
-        QuadratureConfig(nodes=2)
 
 
 def test_G_positive_on_range():
@@ -98,9 +96,10 @@ def test_integral_count_reference_values():
 
 
 def test_integral_count_node_doubling_stability():
-    a = quadrature.integral_count(1e9, QuadratureConfig(epsilon=0.0, nodes=64))
-    b = quadrature.integral_count(1e9, QuadratureConfig(epsilon=0.0, nodes=96))
-    assert a == pytest.approx(b, rel=1e-9)
+    # the value on NODES = 64 (checked against 128) against one on 96 (checked against 192)
+    lx = np.log(1e9)
+    b = quadrature._integrate(lambda s: quadrature.G_fn(s) * np.exp(s * lx) / s, 0.0, 96) / pi
+    assert quadrature.integral_count(1e9) == pytest.approx(b, rel=1e-9)
 
 
 def test_integral_S_offclass_matches_weighted_sum():
@@ -241,3 +240,6 @@ def test_argument_errors():
         quadrature.integral_S(5, 0, 1.0)
     with pytest.raises(ArgumentError):
         quadrature.integral_ktuple_average(7, 100.0)
+    for k, H in ((2, 1e200), (6, 1e52)):  # H^k past the float range
+        with pytest.raises(ArgumentError):
+            quadrature.integral_ktuple_average(k, H)

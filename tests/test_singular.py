@@ -4,6 +4,9 @@ from fractions import Fraction
 from functools import lru_cache
 import itertools
 from math import ceil, comb, exp, expm1, fsum, isfinite, log
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -85,9 +88,9 @@ def test_ck_values_equal_per_prime_power_loop(T):
     assert np.array_equal(ck_values(T, K), ck_values_per_prime_power(T, K))
 
 
-def weighted_sum_full_array(q, v, H, K, rel_tol=1e-9, k=0, subtract=False):
-    """weighted_sum_S with the weights built over all of 0..T and then strided."""
-    T = ceil(H * log(3 * H / rel_tol)) + 1
+def weighted_sum_full_array(q, v, H, K, k=0, subtract=False):
+    """weighted_sum_S with the products c_h w_h built over all of 0..T and then strided."""
+    T = ceil(H * log(3 * H / singular.WSUM_REL_TOL)) + 1
     vals = ck_values(T, K)
     h = np.arange(T + 1, dtype=float)
     with np.errstate(under="ignore"):
@@ -95,20 +98,16 @@ def weighted_sum_full_array(q, v, H, K, rel_tol=1e-9, k=0, subtract=False):
     if k:
         w *= h**k
     if v is None:
-        total = float(vals[1:] @ w[1:])
-        if subtract:
-            total -= singular._weighted_geometric(1, 1, H, k) if k else singular.exp_sums(2, 1, H)[0]
-    else:
-        v0 = v % q if v % q else q
-        total = float(vals[v0::q] @ w[v0::q])
-        if subtract:
-            total -= singular._weighted_geometric(q, v, H, k)
+        q, v = 1, 0
+    total = float((vals * w)[v % q or q::q].sum())
+    if subtract:
+        total -= singular.geometric_sum(q, v, H, k)
     return total
 
 
 @pytest.mark.parametrize("q,H", [(5, 6.356), (5, 1000.0), (13, 100.0), (13, 2000.0)])
 def test_weighted_sum_S_equals_full_array_weights(q, H):
-    # every T here fits one block, so the class sums are the same dots
+    # every T here fits one block, so the class sums are the same pairwise sums
     assert ceil(H * log(3 * H / 1e-9)) + 1 < B
     for v in [None, *range(q)]:
         for k in (0, 1, 2):
@@ -128,6 +127,21 @@ def test_weighted_sum_S_across_blocks_matches_exact_sum(v):
     h = np.arange(v0, T + 1, q, dtype=float)
     want = fsum((ck_values(T, K)[v0::q] * np.exp(-h / H)).tolist())
     assert singular.weighted_sum_S(q, v, H, K) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_weighted_sum_S_does_not_depend_on_the_blas_threads():
+    # a BLAS dot sums in an order set by its thread count: 39997.28373094607 with one
+    # OpenBLAS thread and ...604 with two; numpy's own pairwise sum has one order
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("from twosquares import constants, singular; "
+             "print(repr(singular.weighted_sum_S(5, 0, 2e5, constants.landau_ramanujan())))")
+    outs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        outs.add(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, check=True, timeout=120).stdout)
+    assert len(outs) == 1, outs
 
 
 def test_weighted_sum_S_holds_no_c_h_array():
@@ -150,7 +164,7 @@ def test_class_sums_peak_memory_grows_with_the_primes_only():
     ep.primes_3mod4.cache_clear()
     tracemalloc.start()
     try:
-        singular._class_sums(5, 3e5, K, 1e-9, 0)
+        singular._class_sums(5, 3e5, K, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,40 +311,44 @@ def test_tail_bound_covers_primes_above_the_direct_window():
         c_m = ((k - 1) * (-1) ** (m + 1) - float(k - 1) ** m) / m
         extra += c_m * float(np.sum(ps ** -float(m)))
     assert abs(tail) * 1e-15 < abs(extra) <= dropped
-    sv = singular.singular_series_general(TupleConfig((0, 1, 2, 3)), prime_cutoff=cutoff)
+    sv = singular._singular_series(TupleConfig((0, 1, 2, 3)), cutoff)
     assert sv.value * abs(expm1(extra)) <= sv.tail_bound
     assert sv.tail_bound == sv.value * expm1(dropped + rounding)
 
 
-def test_exp_sums_geometric_identities():
-    for q, v, H in [(5, 1, 10.0), (5, 0, 33.3), (7, 3, 100.0)]:
-        E, Eqv, f = singular.exp_sums(q, v, H)
-        # brute force the geometric sums
-        hs = np.arange(1, 10000)
-        assert E == pytest.approx(np.exp(-hs / H).sum(), abs=1e-10)
-        sel = hs[hs % q == v % q]
-        assert Eqv == pytest.approx(np.exp(-sel / H).sum(), abs=1e-10)
-    # f(v; q) jump values
-    assert singular.exp_sums(5, 0, 10.0)[2] == -0.5
-    assert singular.exp_sums(5, 3, 10.0)[2] == pytest.approx((5 - 6) / 10)
-
-
 @given(st.integers(min_value=0, max_value=4), st.floats(min_value=5, max_value=500),
-       st.integers(min_value=1, max_value=4))
-@settings(max_examples=30, deadline=None)
-def test_weighted_geometric_matches_brute(k, H, v):
-    q = 5
+       st.sampled_from([1, 5, 7]), st.integers(min_value=-8, max_value=8))
+@example(0, 10.0, 1, 1)   # E(H), the unrestricted sum
+@example(2, 33.3, 5, 0)   # v = 0 (mod q): the class starts at h = q
+@example(0, 100.0, 7, -4)
+@settings(max_examples=40, deadline=None)
+def test_geometric_sum_matches_brute(k, H, q, v):
     hs = np.arange(1, int(60 * H) + 1, dtype=float)
-    sel = hs[hs % q == v]
+    sel = hs[hs % q == v % q]
     want = float(np.sum(sel**k * np.exp(-sel / H)))
-    got = singular._weighted_geometric(q, v, H, k)
+    got = singular.geometric_sum(q, v, H, k)
     assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("q,v,H", [(5, 0, 1e5), (5, 3, 1e6), (1, 0, 1e7)])
+def test_geometric_sum_keeps_full_precision_at_large_H(q, v, H):
+    # 1 - e^{-q/H} by expm1: 1 - exp(-q/H) would lose log10(H/q) digits (2e-12 at H = 1e6)
+    with mp.workdps(40):
+        v0, Hm = v % q or q, mp.mpf(H)
+        y = mp.exp(-q / Hm)
+        want = [mp.exp(-v0 / Hm) / (1 - y),
+                mp.exp(-v0 / Hm) * (v0 / (1 - y) + q * y / (1 - y) ** 2)]
+    for k in (0, 1):
+        assert singular.geometric_sum(q, v, H, k) == pytest.approx(float(want[k]), rel=1e-15)
+
+
 def test_weighted_sum_S_truncation_invariance():
-    a = singular.weighted_sum_S(5, 3, 100.0, K, rel_tol=1e-9)
-    b = singular.weighted_sum_S(5, 3, 100.0, K, rel_tol=1e-12)
-    assert a == pytest.approx(b, abs=1e-9)
+    # the sum to T at WSUM_REL_TOL against the sum to T at 1e-12
+    H = 100.0
+    T = ceil(H * log(3 * H / 1e-12)) + 1
+    h = np.arange(3, T + 1, 5, dtype=float)
+    longer = fsum((ck_values(T, K)[3::5] * np.exp(-h / H)).tolist())
+    assert singular.weighted_sum_S(5, 3, H, K) == pytest.approx(longer, abs=1e-9)
 
 
 def test_weighted_sum_classes_partition_total():
@@ -342,11 +360,13 @@ def test_weighted_sum_classes_partition_total():
 
 @pytest.mark.parametrize("H", [16.0, 100.0, 1000.0])
 def test_S0_relation(H):
-    # S0(q,v;H) = S(q,v;H) - E(q,v;H) and E(q,v;H) = H/q + f(v;q) + O(1/H)
+    # S0(q,v;H) = S(q,v;H) - E(q,v;H) and E(q,v;H) = H/q + f(v;q) + O(1/H), with
+    # f(v;q) = -1/2 for v = 0 (mod q) and (q - 2v)/(2q) for 0 < v < q
     for v in range(5):
         s = singular.weighted_sum_S(5, v, H, K)
         s0 = singular.weighted_sum_S(5, v, H, K, subtract=True)
-        _, Eqv, f = singular.exp_sums(5, v, H)
+        Eqv = singular.geometric_sum(5, v, H)
+        f = -0.5 if v == 0 else (5 - 2 * v) / 10
         assert s - s0 == pytest.approx(Eqv, rel=1e-12)
         assert abs(Eqv - H / 5 - f) < 2 / H
 
