@@ -316,13 +316,27 @@ def test_tail_bound_covers_primes_above_the_direct_window():
     assert sv.tail_bound == sv.value * expm1(dropped + rounding)
 
 
+def test_exp_sums_geometric_identities():
+    # E(H) (q = 1) and E(q, v; H) by brute force, and E(q, v; H) - H/q -> f(v; q)
+    for q, v, H in [(5, 1, 10.0), (5, 0, 33.3), (7, 3, 100.0)]:
+        E, Eqv = singular.geometric_sum(1, 1, H), singular.geometric_sum(q, v, H)
+        hs = np.arange(1, 10000)
+        assert E == pytest.approx(np.exp(-hs / H).sum(), abs=1e-10)
+        sel = hs[hs % q == v % q]
+        assert Eqv == pytest.approx(np.exp(-sel / H).sum(), abs=1e-10)
+    # f(v; q) jump values: -1/2 at v = 0 (mod q), (q - 2v)/(2q) for 0 < v < q
+    H = 1e6
+    assert singular.geometric_sum(5, 0, H) - H / 5 == pytest.approx(-0.5, abs=1e-5)
+    assert singular.geometric_sum(5, 3, H) - H / 5 == pytest.approx((5 - 6) / 10, abs=1e-5)
+
+
 @given(st.integers(min_value=0, max_value=4), st.floats(min_value=5, max_value=500),
        st.sampled_from([1, 5, 7]), st.integers(min_value=-8, max_value=8))
 @example(0, 10.0, 1, 1)   # E(H), the unrestricted sum
 @example(2, 33.3, 5, 0)   # v = 0 (mod q): the class starts at h = q
 @example(0, 100.0, 7, -4)
 @settings(max_examples=40, deadline=None)
-def test_geometric_sum_matches_brute(k, H, q, v):
+def test_weighted_geometric_matches_brute(k, H, q, v):
     hs = np.arange(1, int(60 * H) + 1, dtype=float)
     sel = hs[hs % q == v % q]
     want = float(np.sum(sel**k * np.exp(-sel / H)))
