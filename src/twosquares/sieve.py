@@ -45,9 +45,13 @@ so the 5th element past x is within about 10 sqrt(2) x^(1/4) of it
 `count_up_to` does not sieve.  The indicator of E is multiplicative, so its
 sum to x is a Lucy + min_25 sum over the 2 sqrt(x) values x // k, in int64
 numpy arrays: O(x^(3/4)) time and O(sqrt(x)) memory, in the calling process.
-On one core of the same VM it takes about 0.04 CPU s at 2^28, 0.08 s at 10^9,
-1.2 s at 10^11 and 5 s at 10^12, where the arrays have 2 * 10^6 entries and
-the process peaks at 172 MB (about 70 bytes per entry).  Above
+Each of its two phases takes one numpy step per prime p <= cbrt(x) and applies
+all primes above cbrt(x) at once, as one exact batch in chunks of (v, p)
+pairs: no read of that batch sees one of its writes (`_sum_f`).  On one core
+of the same VM it takes 0.024 CPU s at 2^28, 0.28 s at 10^10, 1.5 s at 10^11
+and 9.1 s at 10^12, where one step for every prime took 0.056, 0.43, 1.9 and
+10.6 s.  At 10^12 the arrays have 2 * 10^6 entries and the process peaks at
+168 MB (about 70 bytes per entry).  Above
 COUNT_VALUES_BUDGET entries (x beyond about 2.5 * 10^13) it raises
 ResourceError before allocating anything.  The sieve is its independent
 oracle in the tests.
@@ -187,12 +191,14 @@ def _cyclic(q: int, n: int) -> np.ndarray:
 def _isqrt(v: np.ndarray) -> np.ndarray:
     """Exact floor(sqrt(v)) of an int64 array with 0 <= v < 2^62.
 
-    The float sqrt is within one of the answer there, so one correction step
-    each way makes it exact.
+    Below 2^52 the float sqrt of v is exact after flooring (at (2^26 + 1)^2 - 1
+    it already is not).  Up to 2^62 it is within one of the answer, so one
+    correction step each way makes it exact; they run only when some v needs them.
     """
     r = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    r -= r * r > v
-    r += (r + 1) * (r + 1) <= v
+    if v.size and v.max() >= 1 << 52:
+        r -= r * r > v
+        r += (r + 1) * (r + 1) <= v
     return r
 
 
@@ -373,6 +379,16 @@ def _successor_window(x: int) -> int:
     return h - x
 
 
+def _icbrt(x: int) -> int:
+    """floor(x^(1/3)) for an int x >= 0, exactly."""
+    c = round(x ** (1 / 3))
+    while c ** 3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
+
+
 def _sum_f(x: int) -> int:
     """Sum of f(n) over 2 <= n <= x (x >= 1), f the indicator of E, in O(x^(3/4)) steps.
 
@@ -380,6 +396,10 @@ def _sum_f(x: int) -> int:
     is odd.  The arrays hold one int64 per v in V = {x // k : k >= 1}, in
     descending order: x // k at k - 1 for k <= r = isqrt(x), then each v < x // r
     at len(V) - v, so the v >= t form a prefix and v // d is read without a search.
+
+    Each phase steps through the primes p <= cbrt(x) one at a time and applies
+    those above cbrt(x) as one batch (`batch_sums`): for two such primes p and
+    p', v // p <= x / p < p'^2, so no read of the batch sees a write of the batch.
     """
     r = isqrt(x)
     small = x // r - 1
@@ -388,6 +408,7 @@ def _sum_f(x: int) -> int:
                             f"above the budget of {COUNT_VALUES_BUDGET}")
     V = np.concatenate([x // np.arange(1, r + 1, dtype=np.int64),
                         np.arange(small, 0, -1, dtype=np.int64)])
+    chunk = max(V.size // 4, 1)  # (v, p) pairs per batch chunk: its temporaries stay O(|V|)
 
     def n_ge(t: int) -> int:
         """Length of the prefix of V with v >= t."""
@@ -398,31 +419,74 @@ def _sum_f(x: int) -> int:
         a = min(m, r // d)  # (x // k) // d = x // (kd), held at kd - 1 while kd <= r
         return np.concatenate([arr[d - 1:a * d:d], arr[V.size - V[a:m] // d]])
 
+    def batch_sums(q: np.ndarray, arrays: tuple) -> tuple[np.ndarray, list]:
+        """For the m rows v >= q[0]^2 of V: n[i] = #{p in q : p^2 <= V[i]}, and per arr
+        the sum of arr at V[i] // p over those p (q ascending and nonempty).
+
+        The (row, p) pairs are laid out row by row, at most `chunk` of them at a
+        time (more only for a single row), each chunk reduced by np.add.reduceat.
+        """
+        m = n_ge(int(q[0]) ** 2)
+        n = np.searchsorted(q, _isqrt(V[:m]), side="right")
+        ends = np.cumsum(n)
+        sums = [np.empty(m, dtype=np.int64) for _ in arrays]
+        i0 = 0
+        while arrays and i0 < m:
+            base = int(ends[i0] - n[i0])
+            i1 = max(i0 + 1, int(np.searchsorted(ends, base + chunk, side="right")))
+            cnt = n[i0:i1]
+            starts = ends[i0:i1] - cnt - base
+            row = np.repeat(np.arange(i0, i1), cnt)
+            p = q[np.arange(int(ends[i1 - 1]) - base) - np.repeat(starts, cnt)]
+            kp = (row + 1) * p  # as in quot: x // (kp) is held at kp - 1 while kp <= r
+            idx = np.where(kp <= r, kp - 1, V.size - V[row] // p)
+            for out, arr in zip(sums, arrays):
+                out[i0:i1] = np.add.reduceat(arr[idx], starts)
+            i0 = i1
+        return n, sums
+
     primes = primes_up_to(r)
+    looped = int(np.searchsorted(primes, _icbrt(x), side="right"))  # primes[:looped] <= cbrt(x)
     # Lucy over the odd n > 1: s1(v), s3(v) count those <= v in class 1, 3 (mod 4)
     # with no odd prime factor below the current p; after the last p only primes remain.
     # The step for p removes n = pk with k free of primes < p, and k = np (mod 4).
     s1, s3 = (V - 1) // 4, (V + 1) // 4
-    below1 = below3 = 0  # odd primes < p in class 1, 3
-    for p in primes[1:].tolist():
+    odd, nodd = primes[1:], max(looped - 1, 0)  # odd[:nodd] <= cbrt(x)
+    below1 = np.cumsum(odd % 4 == 1) - (odd % 4 == 1)  # odd primes < p in class 1, 3
+    below3 = np.arange(odd.size) - below1
+    for p, b1, b3 in zip(odd[:nodd].tolist(), below1[:nodd].tolist(), below3[:nodd].tolist()):
         m = n_ge(p * p)
-        k1, k3 = quot(s1, m, p) - below1, quot(s3, m, p) - below3
+        k1, k3 = quot(s1, m, p) - b1, quot(s3, m, p) - b3
         if p % 4 == 1:
             s1[:m] -= k1
             s3[:m] -= k3
-            below1 += 1
         else:
             s1[:m] -= k3
             s3[:m] -= k1
-            below3 += 1
+    for cls, s, t in ((1, s1, s3), (3, s3, s1)):  # a p = 3 (mod 4) swaps the classes
+        sel = np.flatnonzero(odd[nodd:] % 4 == cls) + nodd
+        if sel.size:
+            n, (k1, k3) = batch_sums(odd[sel], (s1, s3))
+            s[:n.size] -= k1 - np.cumsum(below1[sel])[n - 1]
+            t[:n.size] -= k3 - np.cumsum(below3[sel])[n - 1]
 
     # min_25 over the primes p <= r, descending: from P_f(v) = #{primes <= v with f = 1},
     # h(v) becomes the sum of f(n) over the 2 <= n <= v that are prime or whose least
     # prime factor is >= p.  n = p^e k (k > 1, free of primes <= p) or n = p^(e+1) adds
     # f(p^e) (h(v // p^e) - P_f(p)) + f(p^(e+1)) for each e >= 1 with p^(e+1) <= v.
+    # Above cbrt(x) only e = 1 occurs, and that batch comes first, so it reads the initial h.
     f1 = (primes == 2) | (primes % 4 == 1)
+    pfs = np.cumsum(f1)
     h = s1 + (V >= 2)
-    for p, fp, pf in zip(primes[::-1].tolist(), f1[::-1].tolist(), np.cumsum(f1)[::-1].tolist()):
+    if looped < primes.size:
+        n, _ = batch_sums(primes[looped:], ())
+        sel = np.flatnonzero(f1[looped:]) + looped
+        if sel.size:
+            nf, (hp,) = batch_sums(primes[sel], (h,))
+            h[:nf.size] += hp - np.cumsum(pfs[sel])[nf - 1]
+        h[:n.size] += n  # f(p^2) = 1 for each batch prime p with p^2 <= v
+    for p, fp, pf in zip(primes[:looped][::-1].tolist(), f1[:looped][::-1].tolist(),
+                         pfs[:looped][::-1].tolist()):
         m = n_ge(p * p)
         delta = np.zeros(m, dtype=np.int64)
         pe, e = p, 1

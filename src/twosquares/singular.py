@@ -436,8 +436,12 @@ def weighted_sum_S(q: int, v: int | None, H: float, K: float,
     """
     if not isfinite(H) or H <= 0:
         raise ArgumentError(f"H must be finite and > 0, got {H}")
+    if k < 0:
+        raise ArgumentError(f"k must be >= 0, got {k}")
     if v is None:
         q, v = 1, 0
+    elif q < 1:
+        raise ArgumentError(f"q must be >= 1, got {q}")
     total = _class_sums(q, H, K, k)[v % q]
     if subtract:
         total -= geometric_sum(q, v, H, k)

@@ -131,6 +131,8 @@ def test_exit_code_2_on_bad_arguments(run):
     assert run("integral-S", "--v", "0", "--h", "100", "--eps", "0.001")[0] == 2
     assert run("weighted-sum", "--v", "1", "--h", "-5")[0] == 2
     assert run("weighted-sum", "--v", "1", "--h", "nan")[0] == 2
+    assert run("weighted-sum", "--q", "0", "--v", "1", "--h", "100")[0] == 2
+    assert run("weighted-sum", "--q", "5", "--v", "1", "--h", "100", "--k", "-1")[0] == 2
     assert run("integral-S", "--v", "3", "--h", "nan")[0] == 2
     assert run("table", "--id", "3", "--x", "1")[0] == 2    # log x = 0
     assert run("table", "--id", "4", "--x", "1")[0] == 2

@@ -50,6 +50,55 @@ def reference_segment(lo: int, hi: int) -> np.ndarray:
     return bits
 
 
+def reference_sum_f(x: int) -> int:
+    """Sum of f(n) over 2 <= n <= x (f the indicator of E), one numpy step per prime p <= sqrt(x).
+
+    The Lucy + min_25 recurrence that `sieve._sum_f` must match: the same
+    layout of V = {x // k}, but every prime takes its own step in both phases,
+    so no reasoning about which reads see which writes is shared with it.
+    """
+    r = isqrt(x)
+    small = x // r - 1
+    V = np.concatenate([x // np.arange(1, r + 1, dtype=np.int64),
+                        np.arange(small, 0, -1, dtype=np.int64)])
+
+    def n_ge(t):
+        return min(r, x // t) + max(0, small - t + 1)
+
+    def quot(arr, m, d):
+        a = min(m, r // d)
+        return np.concatenate([arr[d - 1:a * d:d], arr[V.size - V[a:m] // d]])
+
+    primes = eulerprod.primes_up_to(r)
+    s1, s3 = (V - 1) // 4, (V + 1) // 4
+    below1 = below3 = 0
+    for p in primes[1:].tolist():
+        m = n_ge(p * p)
+        k1, k3 = quot(s1, m, p) - below1, quot(s3, m, p) - below3
+        if p % 4 == 1:
+            s1[:m] -= k1
+            s3[:m] -= k3
+            below1 += 1
+        else:
+            s1[:m] -= k3
+            s3[:m] -= k1
+            below3 += 1
+    f1 = (primes == 2) | (primes % 4 == 1)
+    h = s1 + (V >= 2)
+    for p, fp, pf in zip(primes[::-1].tolist(), f1[::-1].tolist(), np.cumsum(f1)[::-1].tolist()):
+        m = n_ge(p * p)
+        delta = np.zeros(m, dtype=np.int64)
+        pe, e = p, 1
+        while me := n_ge(pe * p):
+            if fp or e % 2 == 0:
+                delta[:me] += quot(h, me, pe) - pf
+            if fp or e % 2 == 1:
+                delta[:me] += 1
+            pe, e = pe * p, e + 1
+        h[:m] += delta
+    return int(h[0])
+
+
 def valuation_segment(lo: int, hi: int) -> np.ndarray:
     """Bits of [lo, hi] by the valuation rule; shares no code with the sieve's marking.
 
@@ -210,6 +259,49 @@ def test_count_matches_sieve_total(x):
     assert sieve.count_up_to(x) == _sieve_total(x)
 
 
+def test_sum_f_matches_per_prime_recurrence_next_to_cubes():
+    # x = c^3 - 1, c^3, c^3 + 1 moves floor(cbrt(x)), the last prime that takes its own step
+    for c in range(1, 301):
+        for x in (c**3 - 1, c**3, c**3 + 1):
+            if x >= 1:
+                assert sieve._sum_f(x) == reference_sum_f(x), x
+
+
+def test_sum_f_matches_per_prime_recurrence_next_to_prime_cubes():
+    # at p^3 - 1 the prime p is the least of the batch, at p^3 + 1 the last to take its
+    # own step; every p <= 500 and 12 seeded p up to 1999 (all 303 p <= 2000 took 173 s
+    # on a 2-vCPU VM)
+    primes = eulerprod.primes_up_to(2000)
+    rng = np.random.default_rng(23)
+    upper = primes[primes > 500]
+    for p in [*primes[primes <= 500].tolist(), *rng.choice(upper[:-1], 11, replace=False).tolist(),
+              int(upper[-1])]:
+        for x in (p**3 - 1, p**3 + 1):
+            assert sieve._sum_f(x) == reference_sum_f(x), x
+
+
+def test_sum_f_matches_per_prime_recurrence_at_seeded_x():
+    # log-uniform from 10^4, so every height up to 10^10 is met
+    rng = np.random.default_rng(23)
+    for x in np.floor(10 ** rng.uniform(4, 10, size=30)).astype(np.int64).tolist():
+        assert sieve._sum_f(x) == reference_sum_f(x), x
+
+
+def test_count_memory_is_proportional_to_the_values():
+    # the batches of primes above cbrt(x) run in chunks: all of a batch's (v, p) pairs
+    # at once (up to 1.3 |V| of them at 10^10) took 98 bytes per value, the chunks
+    # take 65 and one step per prime took 66
+    x = 10**10
+    r = isqrt(x)
+    tracemalloc.start()
+    try:
+        sieve.count_up_to(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * (r + x // r - 1), peak
+
+
 def test_count_matches_recorded_table2():
     for x in (10**9, 10**10):
         assert sieve.count_up_to(x, include_zero=True) == refdata.TABLE2[x][0]
@@ -245,6 +337,27 @@ def test_threads_deterministic():
 ])
 def test_segment_matches_reference_loop(lo, hi):
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
+
+
+def test_isqrt_matches_math_isqrt_on_both_sides_of_2_26():
+    # below 2^52 the float sqrt is used as it is; (2^26 + 1)^2 - 1 is the first k^2 - 1 it rounds up
+    ks = [*range(0, 3000), *range(2**26 - 3000, 2**26 + 3000), *range(2**31 - 3000, 2**31)]
+    for k in ks:
+        v = [n for n in (k * k - 1, k * k, k * k + 2 * k) if 0 <= n < 1 << 62]
+        assert sieve._isqrt(np.array(v, dtype=np.int64)).tolist() == [isqrt(n) for n in v], k
+    v = np.array([k * k + d for k in ks for d in (-1, 0, 2 * k) if 0 <= k * k + d < 1 << 62])
+    assert sieve._isqrt(v).tolist() == [isqrt(n) for n in v.tolist()]
+
+
+def test_marking_windows_match_reference_words():
+    # windows from 1 to 10^13, where the marking takes _isqrt's float path (below 2^52)
+    # or its corrections; the packed words past the window stay zero
+    for lo, n in [(1, 2**16), (2**20 - 5, 2**20 + 9), (10**10 - 2**18, 2**19 + 3),
+                  (10**12 - 2**21, 2**22), (10**13 - 2**11, 2**12 + 1)]:
+        seg = sieve.sieve_segment(lo, lo + n - 1)
+        want = np.packbits(reference_segment(lo, lo + n - 1), bitorder="little")
+        assert np.array_equal(seg.words[:want.size], want), lo
+        assert not seg.words[want.size:].any()
 
 
 @pytest.mark.parametrize("lo, hi", [

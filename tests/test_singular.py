@@ -423,5 +423,8 @@ def test_argument_and_resource_errors():
     for H in (0.0, -5.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ArgumentError):
             singular.weighted_sum_S(5, 1, H, K)
+    for q, k in ((0, 0), (-3, 0), (5, -1)):  # v % 0 divided by zero; h^-1 at h = 0 warned
+        with pytest.raises(ArgumentError):
+            singular.weighted_sum_S(q, 1, 100.0, K, k=k)
     with pytest.raises(ResourceError):
         singular.ms_sum(50, 4)
