@@ -160,9 +160,18 @@ def F_inv_prime(s):
 # ---------------------------------------------------------------------------
 # quadrature core
 
+@lru_cache(maxsize=8)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]: one eigenvalue solve per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @lru_cache(maxsize=64)
 def _gl_nodes(n: int, lo: float, hi: float):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """_leggauss(n) mapped onto [lo, hi]."""
+    x, w = _leggauss(n)
     mid, half = (hi + lo) / 2, (hi - lo) / 2
     return mid + half * x, half * w
 

@@ -6,14 +6,17 @@ tables are needed, and distinct segments are independent, so segments can be
 sieved concurrently and merged.
 
 Marking is vectorized, so no Python loop runs per a and the cost per entry
-stays nearly flat in height: on one core of a 2-vCPU Xeon VM a 2^26 segment
-takes about 3 ns per entry near 0, 4-5 ns near 10^12 and 6-7 near 10^13.  It
+grows slowly with height: on one core of a 2-vCPU Xeon VM a 2^26 segment
+takes about 1.2 ns per entry near 0, 3.3 ns near 10^12 and 5.3 near 10^13.  It
 is marked in windows of max(2^20, 16 sqrt(hi)) entries, a power of two up to
 2^24, each into one reused bool buffer then packed into the segment's words:
 8 MB per 2^26 entries plus the buffer (1 MB up to hi = 2^32, 16 MB from 2^38).
-The rows a go in blocks of _ROW_BLOCK (`_mark`), so besides those only one
-block's state is held at any height: a 2^26 segment at 10^13 peaks at 57 MB
-in a fresh process, where all rows at once in a 2^26 window took 165 MB.
+The rows a go in blocks of _ROW_BLOCK (`_mark`).  Each row's count of marks
+in the window is computed first and the block's rows are sorted by it, so the
+rows still marking at column step j are a suffix of the block: a step costs a
+scatter and an add per mark, and besides the buffers only one block's state
+is held at any height (a 2^26 segment at 10^13 peaks at 56 MB in a fresh
+process, where all rows at once in a 2^26 window took 165 MB).
 
 With threads > 1 the segments are sieved in a process pool that keeps at most
 `threads` segments in flight (`_map_segments`).  The statistics of
@@ -205,46 +208,51 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 def _window_size(hi: int) -> int:
     """Marking window for a segment ending at hi: a power of two >= 16 sqrt(hi), in [2^20, 2^24].
 
-    Finding the first marks costs one pass over the ~0.7 sqrt(hi) rows a per
-    window, against about pi/8 marks per entry: a fifth of the time at 10^12.
-    Above 2^40 the cap holds the buffer at 16 MB, and that share grows to a
-    third at 10^13.
+    Each window makes one pass over the ~0.7 sqrt(hi) rows a (their first and
+    last marks, the sort by count), against about pi/8 marks per entry: a
+    quarter of `_mark`'s time at 10^12.  Above 2^40 the cap holds the buffer at
+    16 MB, and that share grows to a half at 10^13.
     """
     return min(1 << 24, max(1 << 20, 1 << (16 * (isqrt(hi) + 1) - 1).bit_length()))
-
-
-def _first_marks(lo: int, last: int, a0: int, a1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows a0 <= a < a1 of the window [lo, lo + last] that hold a mark.
-
-    Returns the offset a^2 + b^2 - lo of each row's first mark (the least b >= a
-    with a^2 + b^2 >= lo) and the gap 2b + 1 to the row's next candidate.
-    """
-    a = np.arange(a0, a1, dtype=np.int64)
-    a2 = a * a
-    # ceil(sqrt(lo - a^2)) = isqrt(lo - a^2 - 1) + 1 where lo > a^2
-    b = np.maximum(a, np.where(a2 < lo, _isqrt(np.maximum(lo - a2 - 1, 0)) + 1, 0))
-    off = a2 + b * b - lo
-    live = off <= last
-    return off[live], 2 * b[live] + 1
 
 
 def _mark(bits: np.ndarray, lo: int) -> None:
     """Set bits[n - lo] for every n = a^2 + b^2 (0 <= a <= b) in [lo, lo + len(bits)).
 
-    Per block of _ROW_BLOCK rows, one step per column marks the current b of
-    every live row until the block has left the window: one block's state.
+    Rows a go in blocks of _ROW_BLOCK.  Row a marks b0 <= b <= b1, b0 the least
+    b >= a with a^2 + b^2 >= lo and b1 = isqrt(lo + last - a^2), so its count
+    of marks is known before any is made.  The block's rows are sorted by that
+    count, and column step j marks only the suffix of rows with more than j
+    marks: one scatter and one add per mark, no liveness test.
     """
     last = bits.size - 1
     amax = isqrt((lo + last) // 2)  # a <= b forces 2a^2 <= hi
     for a0 in range(0, amax + 1, _ROW_BLOCK):
-        off, gap = _first_marks(lo, last, a0, min(a0 + _ROW_BLOCK, amax + 1))
-        while off.size:
-            bits[off] = True
-            off += gap  # a^2 + (b+1)^2 = a^2 + b^2 + 2b + 1
-            gap += 2
-            live = off <= last
-            if not live.all():
-                off, gap = off[live], gap[live]
+        a = np.arange(a0, min(a0 + _ROW_BLOCK, amax + 1), dtype=np.int64)
+        a2 = a * a
+        # ceil(sqrt(m)) = isqrt(m - 1) + 1 for m = lo - a^2 >= 1; where m <= 0 (and lo > 0,
+        # so a >= 1) the + 1 gives b0 = a, and for lo = 0 the + 0 gives b0 = a at a = 0 too
+        b = _isqrt(np.maximum(lo - 1 - a2, 0))
+        b += lo > 0
+        np.maximum(b, a, out=b)
+        cnt = _isqrt(lo + last - a2)
+        cnt -= b - 1  # b1 - b0 + 1 marks, in [0, isqrt(last) + 1]: at most 4,097
+        key = cnt.astype(np.uint16)  # 16-bit keys take numpy's radix sort
+        del a, cnt
+        order = np.argsort(key, kind="stable")
+        key = np.take(key, order)
+        ends = np.searchsorted(key, np.arange(key[-1]), side="right")  # rows with <= j marks
+        a2 -= lo
+        a2 += b * b
+        t, g = np.take(a2, order), np.take(b, order)  # a^2 + b0^2 - lo and b0, in order
+        del a2, b, key, order  # t and g are all the block holds while it marks
+        g += g
+        # step j skips the first ends[j] rows; for the others
+        # t = a^2 + b0^2 - lo + 2 b0 j, so t + j^2 = a^2 + (b0 + j)^2 - lo
+        for j, s in enumerate(ends.tolist()):
+            bits[j * j:][t[s:]] = True
+            t[s:] += g[s:]
+        del t, g  # before the next block allocates
 
 
 def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) -> SieveSegment:

@@ -51,6 +51,22 @@ def test_upper_panel_is_shared_across_epsilon():
     assert quadrature.G_fn(uppers[1][0]) is quadrature.G_fn(uppers[2][0])
 
 
+def test_gauss_legendre_rule_is_solved_once_per_n(monkeypatch):
+    # leggauss runs an eigenvalue solve; each panel only maps its reference nodes
+    solve = np.polynomial.legendre.leggauss
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or solve(n))
+    quadrature._leggauss.cache_clear()
+    quadrature._gl_nodes.cache_clear()
+    panels = [quadrature._panel_nodes(eps, 24) for eps in (0.0, 0.01, 0.3)]
+    assert calls == [24]
+    x, w = solve(24)
+    lo, hi = 0.5 + 0.01, 0.75
+    sig, wt = panels[1][1]
+    assert np.array_equal(sig, (hi + lo) / 2 + (hi - lo) / 2 * x)  # bit for bit the direct map
+    assert np.array_equal(wt, (hi - lo) / 2 * w / np.sqrt(1 - sig))
+
+
 def test_memos_are_exact():
     # every memo returns what a fresh evaluation returns, bit for bit
     quadrature.integral_S(5, 0, 100)

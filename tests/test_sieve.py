@@ -334,8 +334,23 @@ def test_threads_deterministic():
     (10**12 + 2 * 10**6 - 1000, 10**12 + 2 * 10**6 + 1000),  # straddles (10^6 + 1)^2
     *[(k * k + d, k * k + d) for k in (1, 2, 1000, 46341) for d in (-1, 0, 1)],
     *[(k * k - 7, k * k + 7) for k in (3, 317, 2**16, 10**5 + 3)],
+    # amax = isqrt(hi // 2) one below, on and one above a _ROW_BLOCK multiple: the last
+    # block is full, or holds one or two rows, and row amax marks hi itself (hi = 2 amax^2)
+    *[(2 * m * m - 2**12, 2 * m * m) for k in (1, 2)
+      for m in (k * sieve._ROW_BLOCK - 1, k * sieve._ROW_BLOCK, k * sieve._ROW_BLOCK + 1)],
+    (10**6, 10**6 + 2**20 - 1),               # row 0 holds 432 marks, more than a byte counts
+    (10**12 - 2**16, 10**12 - 1),             # just below a square: most rows hold no mark
+    (2**40 - 2**12, 2**40 - 1),
 ])
 def test_segment_matches_reference_loop(lo, hi):
+    assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4096))
+@settings(max_examples=40, deadline=None)
+def test_narrow_windows_match_reference_loop(lo, width):
+    # rows with no mark, one mark or many, in any mix, ordered by their count of marks
+    hi = lo + width - 1
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
 
 
