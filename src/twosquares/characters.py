@@ -22,6 +22,9 @@ mod-4q products are built via CRT on units (values chi(a mod q) * chi4(a mod 4))
 A character builds its array, chi * chi4, chi^2 and is_principal once.
 check_modulus(q) is the package's one test of a modulus: every residue-class
 statistic, constant and character table requires a prime q = 1 (mod 4).
+factorize(n) is the package's one factorizer: primitive roots, the modulus
+test, principal L-values, Moebius, the pair singular series and membership
+in E all read its (p, e) pairs.
 """
 
 from __future__ import annotations
@@ -221,17 +224,7 @@ CHI4 = Character(4, (0j, 1 + 0j, 0j, -1 + 0j))
 
 def _primitive_root(q: int) -> int:
     phi = q - 1
-    fac = []
-    m = phi
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
+    fac = [p for p, _ in factorize(phi)]
     for g in range(2, q):
         if all(pow(g, phi // f, q) != 1 for f in fac):
             return g
@@ -241,7 +234,6 @@ def _primitive_root(q: int) -> int:
 @dataclass(frozen=True)
 class CharacterTable:
     q: int
-    generator: int
     characters: tuple  # phi(q) Character objects, index 0 = principal
     parities: tuple
 
@@ -256,9 +248,35 @@ class CharacterTable:
         return list(self.characters[1:])
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 as (p, e) pairs, p ascending; factorize(1) == [].
+
+    Trial division by 2, then by odd d while d^2 <= the unfactored part.
+    """
+    if n < 1:
+        raise ArgumentError(f"n={n} must be >= 1")
+    out = []
+    v = (n & -n).bit_length() - 1  # the power of 2 in n
+    if v:
+        out.append((2, v))
+        n >>= v
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def check_modulus(q: int) -> None:
     """ArgumentError unless q is a prime = 1 (mod 4)."""
-    if q % 4 != 1 or q < 5 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+    if q < 5 or q % 4 != 1 or factorize(q) != [(q, 1)]:
         raise ArgumentError(f"q={q} must be a prime = 1 mod 4")
 
 
@@ -284,22 +302,14 @@ def character_table(q: int) -> CharacterTable:
             vals[a] = roots[k * dlog[a] % phi]
         chars.append(Character(q, tuple(vals)))
     parities = tuple(ch.parity for ch in chars)
-    return CharacterTable(q=q, generator=g, characters=tuple(chars), parities=parities)
+    return CharacterTable(q=q, characters=tuple(chars), parities=parities)
 
 
 def _principal_L(s, modulus: int):
     """L-series of the principal character mod `modulus` (imprimitive zeta)."""
     v = zeta_real(s)
-    m = modulus
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            v *= 1 - p ** (-s)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        v *= 1 - m ** (-s)
+    for p, _ in factorize(modulus):
+        v *= 1 - p ** (-s)
     return v + 0j
 
 

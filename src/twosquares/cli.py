@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv as csv_mod
 import io
+import itertools
 import json
 import math
 import os
@@ -107,14 +108,9 @@ def tuples_cmd(x, q, r, threads, cache_dir, fmt):
     xi = _x_int(x)
     mat = progressions.count_consecutive_tuples(
         xi, q, r, threads=threads, cache_dir=_cache_dir(cache_dir))
-    flat = mat.counts.reshape(-1)
-    rows = []
-    for code in range(flat.size):
-        digits, c = [], code
-        for _ in range(r):
-            digits.append(c % q)
-            c //= q
-        rows.append([",".join(str(d) for d in reversed(digits)), int(flat[code])])
+    # product and reshape(-1) both run the last residue fastest (numpy's C order)
+    rows = [[",".join(map(str, key)), int(c)]
+            for key, c in zip(itertools.product(range(q), repeat=r), mat.counts.reshape(-1))]
     _emit(["residues", "count"], rows, _meta(x=xi, q=q, r=r), fmt)
 
 

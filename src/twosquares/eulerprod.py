@@ -31,26 +31,10 @@ from .errors import ArgumentError
 TAIL_FROM = 8.0  # the direct product starts at exponent u >= TAIL_FROM
 TAIL_PRIMES = 1000  # ... over the primes p < TAIL_PRIMES
 
-_MOBIUS = {}
-
 
 def mobius(n: int) -> int:
-    if n in _MOBIUS:
-        return _MOBIUS[n]
-    m, res, d = n, 1, 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                res = 0
-                break
-            res = -res
-        d += 1
-    else:
-        if m > 1:
-            res = -res
-    _MOBIUS[n] = res
-    return res
+    f = chars.factorize(n)
+    return 0 if any(e > 1 for _, e in f) else (-1) ** len(f)
 
 
 @lru_cache(maxsize=8)

@@ -77,6 +77,7 @@ from math import isqrt
 
 import numpy as np
 
+from .characters import factorize
 from .errors import ArgumentError, ResourceError
 from .eulerprod import primes_up_to
 
@@ -346,21 +347,7 @@ def is_sum_of_two_squares(n: int) -> bool:
     """True iff n = a^2 + b^2, i.e. v_p(n) is even for every prime p = 3 mod 4."""
     if n < 0:
         raise ArgumentError("n must be >= 0")
-    if n <= 2:
-        return True
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if p % 4 == 3 and e % 2 == 1:
-                return False
-        p += 2
-    return n % 4 != 3
+    return n == 0 or all(e % 2 == 0 for p, e in factorize(n) if p % 4 == 3)
 
 
 def _gap_bound(n: int) -> int:

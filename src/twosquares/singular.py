@@ -49,7 +49,7 @@ from math import ceil, comb, exp, expm1, fsum, isfinite, isqrt, log
 
 import numpy as np
 
-from . import eulerprod as ep
+from . import characters as chars, eulerprod as ep
 from .errors import ArgumentError, ResourceError
 
 
@@ -92,35 +92,15 @@ class SingularValue:
 def W2(h: int) -> Fraction:
     if h <= 0:
         raise ArgumentError("h must be >= 1")
-    if h % 2:
-        return Fraction(1)
-    v = 0
-    while h % 2 == 0:
-        h //= 2
-        v += 1
-    return 2 - Fraction(3, 2**v)
+    return Fraction(1) if h % 2 else 2 - Fraction(3, h & -h)  # h & -h = 2^v2(h)
 
 
 def ck_singular_series(h: int, K: float) -> float:
     """S({0,h}) by the exact pair formula."""
-    if h <= 0:
-        raise ArgumentError("h must be >= 1")
     w = float(W2(h))
-    m = h
-    while m % 2 == 0:
-        m //= 2
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            v = 0
-            while m % p == 0:
-                m //= p
-                v += 1
-            if p % 4 == 3:
-                w *= (1 - p ** -(v + 1.0)) / (1 - 1.0 / p)
-        p += 2
-    if m > 1 and m % 4 == 3:
-        w *= (1 - m**-2.0) / (1 - 1.0 / m)
+    for p, v in chars.factorize(h):
+        if p % 4 == 3:
+            w *= (1 - p ** -(v + 1.0)) / (1 - 1.0 / p)
     return w / (2 * K * K)
 
 

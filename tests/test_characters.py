@@ -1,13 +1,14 @@
 """Character tables and real-axis zeta/L evaluators against mpmath oracles."""
 
 import cmath
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosquares import characters as chars, constants, progressions
+from twosquares import characters as chars, constants, eulerprod as ep, progressions
 from twosquares.errors import ArgumentError
 
 mp.mp.dps = 30
@@ -288,3 +289,43 @@ def test_one_modulus_check(build, q):
     # every entry point rejects a modulus that is not a prime = 1 mod 4
     with pytest.raises(ArgumentError, match="prime = 1 mod 4"):
         build(q)
+
+
+@pytest.mark.parametrize("q", [5, 13, 29, 101, 1009])
+def test_check_modulus_accepts_primes_1_mod_4(q):
+    chars.check_modulus(q)
+
+
+# 1 and -3 are = 1 mod 4 but not primes; 9, 21, 25, 45, 49 and 65 are composite
+@pytest.mark.parametrize("q", [1, -3, 3, 7, 9, 21, 25, 45, 49, 65])
+def test_check_modulus_refuses(q):
+    with pytest.raises(ArgumentError, match="prime = 1 mod 4"):
+        chars.check_modulus(q)
+
+
+_PRIMES_TO_1E6 = frozenset(ep.primes_up_to(10**6).tolist())
+
+
+@given(st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_factorize_property(n):
+    f = chars.factorize(n)
+    assert math.prod(p**e for p, e in f) == n
+    assert all(a[0] < b[0] for a, b in zip(f, f[1:]))
+    assert all(p in _PRIMES_TO_1E6 and e >= 1 for p, e in f)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (1, []),
+    (999983**2, [(999983, 2)]),
+    (4 * (10**6 + 3), [(2, 2), (10**6 + 3, 1)]),
+    (2**40 + 3, [(19, 1), (57869033041, 1)]),
+])
+def test_factorize_cases(n, expected):
+    # the last three have a prime factor above 10^6
+    assert chars.factorize(n) == expected
+
+
+def test_factorize_refuses_below_one():
+    with pytest.raises(ArgumentError):
+        chars.factorize(0)

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from twosquares import cli
+from twosquares import cli, progressions
 
 
 @pytest.fixture
@@ -95,7 +95,11 @@ def test_gaps_and_tuples(run):
     code, out = run("tuples", "--x", "1e4", "--q", "5", "--r", "3",
                     "--format", "json")
     assert code == 0
-    assert len(json.loads(out)["rows"]) == 125
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 125
+    mat = progressions.count_consecutive_tuples(10**4, 5, 3)
+    for label, count in rows:
+        assert count == mat.cell(*map(int, label.split(","))), label
 
 
 def test_weighted_sum_and_integrals(run):

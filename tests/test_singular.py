@@ -30,13 +30,14 @@ def test_W2_values():
     assert singular.W2(8) == Fraction(13, 8)
 
 
-@given(st.integers(min_value=1, max_value=50))
+@given(st.integers(min_value=1, max_value=64))
 @settings(deadline=None)
 def test_pair_oracle_equivalence(h):
-    # Connors-Keating closed form vs the generic local-density product
+    # Connors-Keating closed form vs the generic local-density product, within the
+    # product's certified tail bound (the worst h <= 64 uses a fifth of it)
     ck = singular.ck_singular_series(h, K)
-    gen = singular.singular_series_general(TupleConfig((0, h))).value
-    assert ck == pytest.approx(gen, abs=1e-8)
+    gen = singular.singular_series_general(TupleConfig((0, h)))
+    assert abs(ck - gen.value) <= gen.tail_bound + 1e-15
     assert ck > 0
 
 
