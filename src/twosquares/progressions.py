@@ -10,7 +10,9 @@ same marking windows (`sieve._window_size` of its end) and cache files.  Each
 segment is reduced one window at a time, a window in blocks of BLOCK entries,
 in the pool workers when threads > 1; the parent merges the states in segment
 order.  A process holds one window, never a segment: 128 KB of packed words
-below hi = 2^32, plus the 1 MB marking buffer when it sieves.
+up to hi = 2^28 (about 2.7 * 10^8), plus the 1 MB marking buffer when it
+sieves; the window grows with sqrt(hi) to 2 MB of words and a 16 MB buffer
+above 2^34.
 
 The residue statistics never form an E-element: each block's residues mod q
 come straight from the segment's packed bits (`SieveSegment.residues`, uint8

@@ -5,18 +5,22 @@ inside a segment is marked, about pi/8 writes per entry.  No factorization
 tables are needed, and distinct segments are independent, so segments can be
 sieved concurrently and merged.
 
-Marking is vectorized, so no Python loop runs per a and the cost per entry
+Marking is vectorized, so no Python loop runs per row and the cost per entry
 grows slowly with height: on one core of a 2-vCPU Xeon VM a 2^26 segment
-takes about 1.2 ns per entry near 0, 3.3 ns near 10^12 and 5.3 near 10^13.  It
-is marked in windows of max(2^20, 16 sqrt(hi)) entries, a power of two up to
-2^24, each into one reused bool buffer then packed into the segment's words:
-8 MB per 2^26 entries plus the buffer (1 MB up to hi = 2^32, 16 MB from 2^38).
-The rows a go in blocks of _ROW_BLOCK (`_mark`).  Each row's count of marks
-in the window is computed first and the block's rows are sorted by it, so the
-rows still marking at column step j are a suffix of the block: a step costs a
-scatter and an add per mark, and besides the buffers only one block's state
-is held at any height (a 2^26 segment at 10^13 peaks at 56 MB in a fresh
-process, where all rows at once in a 2^26 window took 165 MB).
+takes about 1.2 ns per entry near 0, 1.6 near 10^10, 2.8 near 10^12 and 3.6
+near 10^13.  It is marked in windows of the least power of two >= 64 sqrt(hi)
+entries, at least 2^20 and at most 2^24, each into one reused bool buffer
+then packed into the segment's words 2^20 entries at a time: 8 MB per 2^26
+entries plus the buffer (1 MB up to hi = 2^28, 8 MB near 10^10, 16 MB above
+2^34).  A window is marked by rows in blocks of _ROW_BLOCK (`_mark`): below
+hi = 2^38 the rows are the 0.71 sqrt(hi) values of a, from there on the
+0.29 sqrt(hi) values of b.  Each row's count of marks is computed first; a row
+with more than _DENSE_ROW marks is marked by one arange, and the block's other
+rows are sorted by their count, so the rows still marking at column step j
+are a suffix of the block: a step costs a scatter and an add per mark, and
+besides the buffers only one block's state is held at any height (a 2^26
+segment at 10^13 peaks at 54 MB in a fresh process, where all rows at once in
+a 2^26 window took 165 MB).
 
 With threads > 1 the segments are sieved in a process pool that keeps at most
 `threads` segments in flight (`_map_segments`).  The statistics of
@@ -26,11 +30,11 @@ travels back per segment, never the segment itself.
 The optional cache holds one file per range fetched (`_cached_segment`).
 `progressions` fetches the marking windows of each segment one at a time, so
 the cache holds one file per window and a process never holds more than one
-window: 128 KB of words below hi = 2^32, 2 MB near 10^12.  A file is the
-range's packed words as they are in memory, after a header with its bounds,
-the payload length and a zlib CRC32: a miss writes the words with no copy, and
-a hit checks the CRC and wraps the file's bytes.  A truncated, corrupt or
-old-format file is recomputed and rewritten.
+window: 128 KB of words up to hi = 2^28, 1 MB near 10^10, 2 MB above 2^34.
+A file is the range's packed words as they are in memory, after a header with
+its bounds, the payload length and a zlib CRC32: a miss writes the words with
+no copy, and a hit checks the CRC and wraps the file's bytes.  A truncated,
+corrupt or old-format file is recomputed and rewritten.
 
 A segment is read by entry range, in blocks: `values` gives the int64
 E-elements and `residues(q)` their residues mod q without forming them (the
@@ -85,6 +89,18 @@ DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
 COUNT_VALUES_BUDGET = 10**7  # max |V| = 2 sqrt(x) for count_up_to: x <= 2.5e13, ~700 MB peak
 
 _ROW_BLOCK = 1 << 14  # rows marked together: the marking state is a few 128 KiB arrays
+# Windows ending at or above _B_ROWS_FROM are marked by rows b, which are 0.29 sqrt(hi)
+# against 0.71 sqrt(hi) rows a.  Marking one 2^24 window on one core of a 2-vCPU VM,
+# min of 9-11 alternating runs, rows b against rows a: level at 10^11, 4 % faster at
+# 1.5 * 10^11, 11 % at 2^38, 19 % at 10^12 and 34 % at 10^13; 19 % slower at 5 * 10^10.
+_B_ROWS_FROM = 1 << 38
+# Rows with more than _DENSE_ROW marks are marked by one arange each, so a block takes at
+# most _DENSE_ROW column steps.  In 2^24 windows at 10^12 and 10^13 cuts of 256 to 1,024
+# are level and 6-10 % faster than none (the rows near b = sqrt(lo) hold up to 4,096
+# marks); below about 2 * 10^6, where rows a in a 2^20 window hold up to 1,025 marks,
+# a cut at 512 costs up to 1 ms a window (5.1 against 4.1 ms for the window at 1).
+_DENSE_ROW = 512
+_PACK = 1 << 20  # entries packed at a time into a segment's words
 _CACHE_MAGIC = b"S2SQ2"
 _CACHE_HEADER = struct.Struct("<5sQQQI")  # magic, lo, hi, payload bytes, CRC32 of the payload
 
@@ -207,53 +223,81 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _window_size(hi: int) -> int:
-    """Marking window for a segment ending at hi: a power of two >= 16 sqrt(hi), in [2^20, 2^24].
+    """Marking window for a segment ending at hi: the least power of two >= 64 sqrt(hi), in [2^20, 2^24].
 
-    Each window makes one pass over the ~0.7 sqrt(hi) rows a (their first and
-    last marks, the sort by count), against about pi/8 marks per entry: a
-    quarter of `_mark`'s time at 10^12.  Above 2^40 the cap holds the buffer at
-    16 MB, and that share grows to a half at 10^13.
+    That is 2^20 up to hi = 2^28, 2^23 at 10^10 and 2^24 above 2^34.  Each
+    window makes one pass over its rows (their first column and count of marks,
+    the sort by count): 0.71 sqrt(hi) rows a, or 0.29 sqrt(hi) rows b from 2^38
+    (`_mark`), against about pi/8 marks per entry, so at 64 sqrt(hi) a row a
+    holds at least 32 marks.  The per-row work is about a seventh of `_mark`'s
+    time at 10^10 and 10^12, and 30 % at 10^13, where the cap holds the
+    buffer at 16 MB.
     """
-    return min(1 << 24, max(1 << 20, 1 << (16 * (isqrt(hi) + 1) - 1).bit_length()))
+    # 2^k >= 64 sqrt(hi) <=> 4^k >= 4096 hi
+    return min(1 << 24, max(1 << 20, 1 << ((4096 * hi - 1).bit_length() + 1) // 2))
 
 
 def _mark(bits: np.ndarray, lo: int) -> None:
-    """Set bits[n - lo] for every n = a^2 + b^2 (0 <= a <= b) in [lo, lo + len(bits)).
+    """Set bits[n - lo] for every n = a^2 + b^2 (0 <= a <= b) in [lo, hi], hi = lo + len(bits) - 1.
 
-    Rows a go in blocks of _ROW_BLOCK.  Row a marks b0 <= b <= b1, b0 the least
-    b >= a with a^2 + b^2 >= lo and b1 = isqrt(lo + last - a^2), so its count
-    of marks is known before any is made.  The block's rows are sorted by that
-    count, and column step j marks only the suffix of rows with more than j
-    marks: one scatter and one add per mark, no liveness test.
+    A row r is a value of one square root, its columns c the values of the
+    other: below hi = _B_ROWS_FROM the rows a <= isqrt(hi // 2), each marking
+    max(a, ceil sqrt(lo - a^2)) <= b <= isqrt(hi - a^2), and from there on the
+    rows isqrt(lo // 2) <= b <= isqrt(hi), each marking
+    ceil sqrt(max(lo - b^2, 0)) <= a <= min(b, isqrt(hi - b^2)).  So a row's
+    first column s0 and its count of marks are known before any is made, and
+    both kinds go through `_mark_rows` in blocks of _ROW_BLOCK.
     """
-    last = bits.size - 1
-    amax = isqrt((lo + last) // 2)  # a <= b forces 2a^2 <= hi
-    for a0 in range(0, amax + 1, _ROW_BLOCK):
-        a = np.arange(a0, min(a0 + _ROW_BLOCK, amax + 1), dtype=np.int64)
-        a2 = a * a
-        # ceil(sqrt(m)) = isqrt(m - 1) + 1 for m = lo - a^2 >= 1; where m <= 0 (and lo > 0,
-        # so a >= 1) the + 1 gives b0 = a, and for lo = 0 the + 0 gives b0 = a at a = 0 too
-        b = _isqrt(np.maximum(lo - 1 - a2, 0))
-        b += lo > 0
-        np.maximum(b, a, out=b)
-        cnt = _isqrt(lo + last - a2)
-        cnt -= b - 1  # b1 - b0 + 1 marks, in [0, isqrt(last) + 1]: at most 4,097
-        key = cnt.astype(np.uint16)  # 16-bit keys take numpy's radix sort
-        del a, cnt
-        order = np.argsort(key, kind="stable")
-        key = np.take(key, order)
-        ends = np.searchsorted(key, np.arange(key[-1]), side="right")  # rows with <= j marks
-        a2 -= lo
-        a2 += b * b
-        t, g = np.take(a2, order), np.take(b, order)  # a^2 + b0^2 - lo and b0, in order
-        del a2, b, key, order  # t and g are all the block holds while it marks
-        g += g
-        # step j skips the first ends[j] rows; for the others
-        # t = a^2 + b0^2 - lo + 2 b0 j, so t + j^2 = a^2 + (b0 + j)^2 - lo
-        for j, s in enumerate(ends.tolist()):
-            bits[j * j:][t[s:]] = True
-            t[s:] += g[s:]
-        del t, g  # before the next block allocates
+    hi = lo + bits.size - 1
+    by_b = hi >= _B_ROWS_FROM
+    first, stop = (isqrt(lo // 2), isqrt(hi) + 1) if by_b else (0, isqrt(hi // 2) + 1)
+    for r0 in range(first, stop, _ROW_BLOCK):
+        r = np.arange(r0, min(r0 + _ROW_BLOCK, stop), dtype=np.int64)
+        r2 = r * r
+        # s0 = ceil(sqrt(lo - r^2)) = isqrt(lo - 1 - r^2) + 1 where lo > r^2, else 0
+        s0 = _isqrt(np.maximum(lo - 1 - r2, 0))
+        s0 += r2 < lo
+        cnt = _isqrt(hi - r2)  # the last column, then the count
+        if by_b:
+            np.minimum(cnt, r, out=cnt)
+        else:
+            np.maximum(s0, r, out=s0)
+        del r
+        cnt -= s0 - 1  # at most isqrt(hi - lo) + 1 <= 4,096; below 0 for a few of the lowest b
+        _mark_rows(bits, lo, r2, s0, cnt)
+
+
+def _mark_rows(bits: np.ndarray, lo: int, r2: np.ndarray, s0: np.ndarray,
+               cnt: np.ndarray) -> None:
+    """Set bits[r2 + c^2 - lo] for s0 <= c < s0 + cnt, per row of the block; overwrites r2 and cnt.
+
+    A row with more than _DENSE_ROW marks is marked by one arange.  The others
+    are sorted by their count, so column step j marks only the suffix of rows
+    with more than j marks: one scatter and one add per mark, no liveness test,
+    and at most _DENSE_ROW steps per block.
+    """
+    dense = cnt > _DENSE_ROW
+    for i in np.flatnonzero(dense).tolist():
+        c = np.arange(s0[i], s0[i] + cnt[i])
+        c *= c
+        c += r2[i] - lo
+        bits[c] = True
+    cnt[dense] = 0
+    np.maximum(cnt, 0, out=cnt)
+    key = cnt.astype(np.uint16)  # 16-bit keys take numpy's radix sort
+    order = np.argsort(key, kind="stable")
+    key = np.take(key, order)
+    ends = np.searchsorted(key, np.arange(key[-1]), side="right")  # rows with <= j marks
+    r2 -= lo
+    r2 += s0 * s0
+    t, g = np.take(r2, order), np.take(s0, order)  # r^2 + s0^2 - lo and s0, in order
+    del key, order
+    g += g
+    # step j skips the first ends[j] rows; for the others
+    # t = r^2 + s0^2 - lo + 2 s0 j, so t + j^2 = r^2 + (s0 + j)^2 - lo
+    for j, s in enumerate(ends.tolist()):
+        bits[j * j:][t[s:]] = True
+        t[s:] += g[s:]
 
 
 def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) -> SieveSegment:
@@ -276,7 +320,9 @@ def sieve_segment(lo: int, hi: int, segment_budget: int = DEFAULT_SEGMENT_BITS) 
         bits = window[:stop - start + 1]
         _mark(bits, start)
         at = (start - lo) >> 3
-        words[at:at + (bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
+        for i in range(0, bits.size, _PACK):  # packbits takes no `out`: 128 KB temporaries
+            piece = np.packbits(bits[i:i + _PACK], bitorder="little")
+            words[at + (i >> 3):][:piece.size] = piece
     return SieveSegment(lo, hi, words)
 
 

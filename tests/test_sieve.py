@@ -325,6 +325,17 @@ def test_threads_deterministic():
     assert a == b
 
 
+def _rows_b_around_block_multiples(width: int) -> list:
+    """For d = -1, 0, 1 the least m >= 2^19 for which [m^2 - width + 1, m^2], marked by
+    rows b, has a multiple of _ROW_BLOCK plus d rows (the count grows by 0 or 1 per m)."""
+    out, m = [], 2**19
+    for d in (-1, 0, 1):
+        while (m - isqrt((m * m - width + 1) // 2) + 1 - d) % sieve._ROW_BLOCK:
+            m += 1
+        out.append(m)
+    return out
+
+
 @pytest.mark.parametrize("lo, hi", [
     (0, 3 * 2**20 + 17),                      # four marking windows from 0, the last short
     (2**20 - 100, 2**22 + 50),                # window edges off the powers of two
@@ -341,6 +352,24 @@ def test_threads_deterministic():
     (10**6, 10**6 + 2**20 - 1),               # row 0 holds 432 marks, more than a byte counts
     (10**12 - 2**16, 10**12 - 1),             # just below a square: most rows hold no mark
     (2**40 - 2**12, 2**40 - 1),
+    # rows b from 2^38: their first row isqrt(lo // 2) = m, or their last row isqrt(hi) = m
+    # (which marks hi = m^2 itself), one below, on and one above a _ROW_BLOCK multiple
+    *[(2 * m * m, 2 * m * m + 2**12 - 1) for k in (24,)
+      for m in (k * sieve._ROW_BLOCK - 1, k * sieve._ROW_BLOCK, k * sieve._ROW_BLOCK + 1)],
+    *[(m * m - 2**12 + 1, m * m) for k in (33,)
+      for m in (k * sieve._ROW_BLOCK - 1, k * sieve._ROW_BLOCK, k * sieve._ROW_BLOCK + 1)],
+    # as many rows b as a _ROW_BLOCK multiple, one less or one more: the last block is
+    # full, or one row short, or holds one row
+    *[(m * m - 2**12 + 1, m * m) for m in _rows_b_around_block_multiples(2**12)],
+    # row 0 (lo = 0) marks b = 0 .. isqrt(hi): _DENSE_ROW marks, which go through the
+    # column steps, or one more, which are one arange
+    *[(0, (sieve._DENSE_ROW - 1 + d) ** 2) for d in (0, 1)],
+    # the same for row b (lo = b^2) from 2^38, a = 0 .. 511 or 512 (_DENSE_ROW is 512):
+    # b^2 + 511^2 and b^2 + 512^2 are prime, so row b's last mark alone sets hi
+    *[(b * b, b * b + c * c) for b, c in ((2**19 + 2, 511), (2**19 + 19, 512))],
+    (2**38 - 2**12, 2**38 - 1),               # the last window marked by rows a
+    (2**38 - 2**12 + 1, 2**38),               # the first marked by rows b
+    (2**38 - 2**12, 2**38 + 2**12),           # across 2^38, in one window
 ])
 def test_segment_matches_reference_loop(lo, hi):
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
@@ -351,6 +380,22 @@ def test_segment_matches_reference_loop(lo, hi):
 def test_narrow_windows_match_reference_loop(lo, width):
     # rows with no mark, one mark or many, in any mix, ordered by their count of marks
     hi = lo + width - 1
+    assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
+
+
+@given(st.integers(min_value=2**38, max_value=2**44), st.integers(min_value=1, max_value=4096))
+@settings(max_examples=40, deadline=None)
+def test_narrow_windows_marked_by_rows_b_match_valuation_oracle(lo, width):
+    # from 2^38 on, windows are marked by rows b; the reference loop would take up to
+    # 3 million Python steps here
+    hi = lo + width - 1
+    assert np.array_equal(sieve.sieve_segment(lo, hi).bits, valuation_segment(lo, hi))
+
+
+def test_windows_of_both_row_kinds_in_one_segment(monkeypatch):
+    # windows of 2^10 entries: the four below 2^38 are marked by rows a, the four from it by rows b
+    monkeypatch.setattr(sieve, "_window_size", lambda hi: 1 << 10)
+    lo, hi = 2**38 - 2**12, 2**38 + 2**12 - 1
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
 
 
