@@ -14,11 +14,15 @@ up to hi = 2^28 (about 2.7 * 10^8), plus the 1 MB marking buffer when it
 sieves; the window grows with sqrt(hi) to 2 MB of words and a 16 MB buffer
 above 2^34.
 
-The residue statistics never form an E-element: each block's residues mod q
-come straight from the segment's packed bits (`SieveSegment.residues`, uint8
-codes for q <= 256, uint16 up to 65,536), and a window's key is built in the
-smallest unsigned dtype that holds q^r cells.  Only the gap histogram reads
-int64 values.
+The residue statistics never form an E-element.  The class counts (r = 1)
+have no windows to key, so they take no residue code either: each block's
+bits are summed by column in rows of a multiple of q entries, folded into
+the q classes and added to the reducer's table
+(`SieveSegment._add_residue_counts`, the path of `residue_counts`).  For
+r >= 2 each block's residues mod q come straight from the segment's packed
+bits (`SieveSegment.residues`, uint8 codes for q <= 256, uint16 up to
+65,536), and a window's key is built in the smallest unsigned dtype that
+holds q^r cells.  Only the gap histogram reads int64 values.
 """
 
 from __future__ import annotations
@@ -35,12 +39,13 @@ from .characters import check_modulus
 from .errors import ArgumentError, ResourceError
 
 DENSE_CELLS_LIMIT = 5 * 10**7  # refuse q^r tables larger than this
-# Bitset entries per residues() or values() call.  Each block's temporaries are
-# freed before the next; with no large array left on the heap glibc trims it and
-# faults them back every block.  The four stats-cache passes in one process,
-# three runs each: 2^16, 2^17 and 2^18 cost the same CPU within noise (0.65-0.79 /
-# 0.60-0.85 / 0.65-0.71 s) and peak at 40.7 / 41.1 / 42.5 MB; 2^20 takes twice
-# the minor faults of 2^17 (7.3k against 3.4k) and peaks at 48.3 MB.
+# Bitset entries per values(), residues() or class-count read of a window.  Each
+# block's temporaries are freed before the next; with no large array left on the
+# heap glibc trims it and faults them back every block.  The four stats-cache
+# passes in one process, three runs each: 2^16, 2^17 and 2^18 cost the same CPU
+# within noise (0.65-0.79 / 0.60-0.85 / 0.65-0.71 s) and peak at 40.7 / 41.1 /
+# 42.5 MB; 2^20 takes twice the minor faults of 2^17 (7.3k against 3.4k) and
+# peaks at 48.3 MB.
 BLOCK = 1 << 17
 
 
@@ -63,7 +68,8 @@ class _Reducer:
 
     Keyed by residues mod q (q^r cells) or, with q None and r = 2, by gap.  With q,
     the reducer is fed residue codes (`SieveSegment.residues`), never values, and
-    builds each window's key in the smallest unsigned dtype that holds q^r cells;
+    builds each window's key in the smallest unsigned dtype that holds q^r cells
+    (at r = 1 `_reduce_segment` adds class counts to `counts` instead of feeding);
     with q None it is fed values.  Each run comes with the number of its elements
     that are <= x: those elements form a prefix of the stream, so x itself is not
     needed.  The first and the last r-1 elements fed (all, if fewer) are kept with
@@ -125,7 +131,8 @@ def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_bud
     marks, each sieved or read from its own cache file and fed before the next, so
     one window is held at a time, never the segment.  A window is read in blocks of
     BLOCK entries, and the block that holds x is cut after x, so each run fed is
-    wholly <= x or wholly above it.
+    wholly <= x or wholly above it.  At r = 1 a block <= x adds its class counts
+    (`SieveSegment._add_residue_counts`) and nothing is fed.
     """
     red = _Reducer(r, q)
     if cache_dir is not None:
@@ -135,6 +142,10 @@ def _reduce_segment(x: int, r: int, q: int | None, lo: int, hi: int, segment_bud
         n, cut = b - a + 1, x - a + 1  # the entries below cut are <= x
         edges = sorted({*range(0, n, BLOCK), n, min(max(cut, 0), n)})
         for start, stop in pairwise(edges):
+            if r == 1:  # no windows to key: each block's class counts, and none above x
+                if stop <= cut:
+                    window._add_residue_counts(red.counts, start, stop)
+                continue
             run = window.values(start, stop) if q is None else window.residues(q, start, stop)
             red.feed(run, run.size if stop <= cut else 0)
     return red

@@ -510,8 +510,8 @@ def test_residues_from_every_class_match_values_mod_q(q):
 
 
 def test_residue_table_stays_within_twice_the_block():
-    # at r = 1, DENSE_CELLS_LIMIT admits q up to 5 * 10^7; a table of q + BLOCK
-    # entries would then take 200 MB
+    # `residues` takes any q >= 1; at q = 5 * 10^7 a table of q + BLOCK entries
+    # would take 200 MB
     n = progressions.BLOCK
     for q in (5, 257, 131101, 49999921):
         table = sieve._cyclic(q, n)
@@ -519,6 +519,53 @@ def test_residue_table_stays_within_twice_the_block():
         assert np.array_equal(table[:n], np.arange(n) % q)
     with pytest.raises(ArgumentError):
         sieve.sieve_segment(0, 99).residues(0)
+
+
+# 1 and 2 leave rows of exactly 2^11 entries; 2049 and 131101 rows of q entries, and
+# 131101 has at most two of them in a segment of the property below
+RESIDUE_COUNT_MODULI = (1, 2, 5, 13, 257, 2049, 131101)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_residue_counts_match_bincount_of_residues(data):
+    q = data.draw(st.sampled_from(RESIDUE_COUNT_MODULI), label="q")
+    lo = data.draw(st.integers(min_value=0, max_value=2**40), label="lo")
+    n = data.draw(st.integers(min_value=1, max_value=3 * 2**17), label="n")
+    seg = sieve.sieve_segment(lo, lo + n - 1)
+    row = -(-sieve._ROW // q) * q
+    start = data.draw(st.integers(min_value=0, max_value=n), label="start")
+    kind = data.draw(st.sampled_from(("empty", "one", "on", "off", "to end")), label="kind")
+    rows = data.draw(st.integers(min_value=0, max_value=(n - start) // row), label="rows")
+    stop = {"empty": start, "one": start + 1, "on": start + rows * row,
+            "off": start + rows * row + data.draw(st.integers(1, row - 1), label="extra"),
+            "to end": None}[kind]
+    got = seg.residue_counts(q, start, stop)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.bincount(seg.residues(q, start, stop), minlength=q))
+
+
+@pytest.mark.parametrize("words", ["sieved", "all set"])
+def test_residue_counts_over_more_than_255_rows(words):
+    # 2^20 entries in rows of 2,050 (q = 5) are 511 rows, so the columns are summed in
+    # uint16; with every bit set each column sums to 511 or 512, past a uint8
+    lo, n, q = 10**9 + 3, 2**20, 5
+    seg = sieve.sieve_segment(lo, lo + n - 1)
+    if words == "all set":
+        seg = sieve.SieveSegment(lo, lo + n - 1, np.full_like(seg.words, 0xFF))
+    for start, stop in ((0, None), (1, n - 1), (2050, 2050 * 300)):
+        want = np.bincount(seg.residues(q, start, stop), minlength=q)
+        assert np.array_equal(seg.residue_counts(q, start, stop), want), (start, stop)
+    if words == "all set":
+        want = [n // q + ((a - lo) % q < n % q) for a in range(q)]  # lo .. lo + n - 1
+        assert seg.residue_counts(q).tolist() == want
+
+
+def test_residue_counts_reject_q_below_1():
+    seg = sieve.sieve_segment(0, 99)
+    for q in (0, -5):
+        with pytest.raises(ArgumentError):
+            seg.residue_counts(q)
 
 
 def test_set_padding_bit_is_rejected():
