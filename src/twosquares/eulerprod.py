@@ -47,7 +47,9 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.flatnonzero(isp)
 
 
-_PRIME_CHUNK = 1 << 21  # integers per chunk of _primes_3mod4_chunks (even, so chunks keep parity)
+# integers per chunk of _primes_3mod4_chunks (even, so chunks keep parity): a chunk's
+# sieve is 256 KiB of bools, below the 1 MiB c_h block that the pass holds anyway
+_PRIME_CHUNK = 1 << 19
 
 
 def _primes_3mod4_chunks(lo: int, hi: int):
@@ -68,6 +70,30 @@ def _primes_3mod4_chunks(lo: int, hi: int):
             odd[i::p] = False
         j = (3 - a1) % 4 // 2  # a1 + 2i = 3 mod 4 exactly for i = j mod 2
         yield b, a1 + 2 * j + 4 * np.flatnonzero(odd[j::2])
+
+
+def row_pairs(lo: np.ndarray, n: np.ndarray, chunk: int):
+    """Yield (i0, rows, idx, starts) over the pairs (i, lo[i] + j), 0 <= j < n[i], in
+    row order, at most `chunk` pairs at a time.
+
+    rows[t] is the row of pair t of the chunk and idx[t] its index lo[i] + j (into
+    a sorted prime array, say); starts[i - i0] is the offset in the chunk where
+    row i >= i0 begins, for np.add.reduceat.  A chunk edge may cut a row: its
+    pairs then continue at offset 0 of the next chunk, whose i0 is that row.
+    Rows with n[i] = 0 have no pairs, and a start equal to the next row's.
+    """
+    ends = np.cumsum(n)
+    total = int(ends[-1]) if ends.size else 0
+    for g0 in range(0, total, chunk):
+        g1 = min(g0 + chunk, total)
+        i0 = int(np.searchsorted(ends, g0, side="right"))  # the row of pair g0
+        i1 = int(np.searchsorted(ends, g1 - 1, side="right")) + 1  # past the row of g1 - 1
+        first = ends[i0:i1] - n[i0:i1]  # pair number of each row's first pair
+        starts = np.maximum(first, g0) - g0
+        cnt = np.minimum(ends[i0:i1], g1) - g0 - starts
+        rows = np.repeat(np.arange(i0, i1), cnt)
+        idx = np.arange(g0, g1) + np.repeat(lo[i0:i1] - first, cnt)
+        yield i0, rows, idx, starts
 
 
 @lru_cache(maxsize=8)
@@ -145,8 +171,10 @@ def prime_zeta_3mod4(s: float) -> float:
     s = 5, 6 and 7; -2.6e-16 at s = 8 and -3.0e-16 at 10.  Below TAIL_FROM the
     k = 1 term comes from doubling levels, differences of logs of L-values
     near 1, whose error is near-absolute while P3(s) falls like 3^-s; from
-    TAIL_FROM on it is the direct product.  singular.P3_REL_ERROR (1e-14)
-    covers s <= 4 only.
+    TAIL_FROM on it is the direct product.  The tests hold it to 1e-14 at
+    s = 2, 3 and 4 and to 2e-13 at s = 5, 6 and 8 (s = 7 is outside both).
+    singular.P3_REL_ERROR (1e-14) covers only s = 2 and 3, the values that
+    singular._tail_log evaluates.
     """
     total = 0.0
     k = 1

@@ -88,7 +88,7 @@ import numpy as np
 
 from .characters import factorize
 from .errors import ArgumentError, ResourceError
-from .eulerprod import primes_up_to
+from .eulerprod import primes_up_to, row_pairs
 
 DEFAULT_SEGMENT_BITS = 1 << 26  # max entries per segment
 COUNT_VALUES_BUDGET = 10**7  # max |V| = 2 sqrt(x) for count_up_to: x <= 2.5e13, ~700 MB peak
@@ -488,6 +488,8 @@ def _sum_f(x: int) -> int:
     Each phase steps through the primes p <= cbrt(x) one at a time and applies
     those above cbrt(x) as one batch (`batch_sums`): for two such primes p and
     p', v // p <= x / p < p'^2, so no read of the batch sees a write of the batch.
+    The batch's (v, p) pairs come from eulerprod.row_pairs, the enumerator that
+    the c_h pass of `singular` also runs, in chunks of |V| / 4 pairs.
     """
     r = isqrt(x)
     small = x // r - 1
@@ -511,26 +513,20 @@ def _sum_f(x: int) -> int:
         """For the m rows v >= q[0]^2 of V: n[i] = #{p in q : p^2 <= V[i]}, and per arr
         the sum of arr at V[i] // p over those p (q ascending and nonempty).
 
-        The (row, p) pairs are laid out row by row, at most `chunk` of them at a
-        time (more only for a single row), each chunk reduced by np.add.reduceat.
+        The (row, p) pairs are laid out row by row and taken `chunk` at a time
+        (`row_pairs`), each chunk reduced by np.add.reduceat; a row that a chunk
+        edge cuts adds up the sums of its two parts.
         """
         m = n_ge(int(q[0]) ** 2)
         n = np.searchsorted(q, _isqrt(V[:m]), side="right")
-        ends = np.cumsum(n)
-        sums = [np.empty(m, dtype=np.int64) for _ in arrays]
-        i0 = 0
-        while arrays and i0 < m:
-            base = int(ends[i0] - n[i0])
-            i1 = max(i0 + 1, int(np.searchsorted(ends, base + chunk, side="right")))
-            cnt = n[i0:i1]
-            starts = ends[i0:i1] - cnt - base
-            row = np.repeat(np.arange(i0, i1), cnt)
-            p = q[np.arange(int(ends[i1 - 1]) - base) - np.repeat(starts, cnt)]
-            kp = (row + 1) * p  # as in quot: x // (kp) is held at kp - 1 while kp <= r
-            idx = np.where(kp <= r, kp - 1, V.size - V[row] // p)
-            for out, arr in zip(sums, arrays):
-                out[i0:i1] = np.add.reduceat(arr[idx], starts)
-            i0 = i1
+        sums = [np.zeros(m, dtype=np.int64) for _ in arrays]
+        if arrays:
+            for i0, row, j, starts in row_pairs(np.zeros(m, dtype=np.int64), n, chunk):
+                p = q[j]
+                kp = (row + 1) * p  # as in quot: x // (kp) is held at kp - 1 while kp <= r
+                idx = np.where(kp <= r, kp - 1, V.size - V[row] // p)
+                for out, arr in zip(sums, arrays):
+                    out[i0:i0 + starts.size] += np.add.reduceat(arr[idx], starts)
         return n, sums
 
     primes = primes_up_to(r)

@@ -8,13 +8,15 @@ Three evaluation routes:
    multiplicative sieve run in blocks of 2^17 h (_ck_blocks).  Primes
    p <= sqrt(T) multiply their strided multiples in each block once per
    power.  A prime p > sqrt(T) only occurs to the first power, and at most
-   one such prime divides h, so these factors come last and are applied in
-   one scatter per block over every cofactor m = h/p at once.  Those primes
-   are sieved by the pass itself, 2^21 integers at a time by the primes
-   <= sqrt(T) (eulerprod._primes_3mod4_chunks), as the blocks reach them, and
-   kept in one uint32 store: 4 bytes per prime = 3 mod 4 up to T, about
-   2T/ln T bytes, and no T-byte sieve.  So T < 2^32 (H below about 1.07e8).
-   Every h receives the same factors in the same order whatever the blocking.
+   one such prime divides h, so these factors come last; a block applies them
+   as scatters over its (m, p) pairs, m = h/p, 2^13 pairs at a time
+   (eulerprod.row_pairs).  Those primes are sieved by the pass itself, 2^19
+   integers at a time by the primes <= sqrt(T) (eulerprod._primes_3mod4_chunks),
+   as the blocks reach them, and kept in one uint32 store: 4 bytes per prime
+   = 3 mod 4 up to T, about 2T/ln T bytes, and no T-byte sieve.  So T < 2^32
+   (H below about 1.07e8).  Besides the store the pass holds one block (1 MiB)
+   and temporaries of at most a few hundred KB whatever T is.  Every h
+   receives the same factors in the same order whatever the blocking.
 
 2. singular_series_general: the product over p = 2 and p = 3 mod 4 of exact
    local densities.  delta_D(p) is the measure of the a in Z_p with every a+d
@@ -32,7 +34,8 @@ Three evaluation routes:
 3. weighted sums S(q,v;H), S(H), S^(k), S_0 variants by direct summation of
    ck values against exponential weights, truncated at
    T = H log(3H/WSUM_REL_TOL), with the geometric parts (geometric_sum)
-   subtracted exactly.  One pass over the c_h blocks reduces each block into
+   subtracted exactly.  The weights are formed 2^14 h at a time.  One pass
+   over the c_h blocks reduces each block into
    the sums of all q classes h = v (mod q) at once (the products c_h w_h of
    each class summed by numpy's pairwise sum, which no BLAS thread count
    reorders, and the block sums combined by fsum), and only those q sums are
@@ -106,6 +109,8 @@ def ck_singular_series(h: int, K: float) -> float:
 
 _CK_BLOCK = 1 << 17  # h per block of the c_h pass
 _STORE = np.uint32  # the primes above sqrt(T) that the c_h pass keeps, so T < 2^32
+_PAIR_CHUNK = 1 << 13  # (m, p) pairs per chunk of a block's large-prime factors
+_WEIGHT_PIECE = 1 << 14  # h per piece of the weights e^(-h/H) h^k in _class_sums
 
 
 def _ck_blocks(T: int, K: float):
@@ -114,6 +119,11 @@ def _ck_blocks(T: int, K: float):
     c_0 is 0.  Every h receives the same factors in the same order as in one
     array over 0..T (2-powers, then each p = 3 mod 4 by its powers, the prime
     above sqrt(T) last), so the values do not depend on the blocking.
+
+    Held at once: the yielded block, the store of primes above sqrt(T), one
+    prime chunk's sieve (_PRIME_CHUNK / 2 bools) and one pair chunk's index and
+    factor arrays (_PAIR_CHUNK entries each): 4.1 MB traced at T = 3.3e6
+    (H = 1e5), 1.1 MB of it the store.
     """
     if T >= 2**32:
         raise ResourceError(f"T = {T} >= 2^32: the primes above sqrt(T) are stored as uint32")
@@ -162,8 +172,9 @@ def _ck_blocks(T: int, K: float):
             m = np.arange(1, (h1 - 1) // int(P[0]) + 1)
             lo = np.searchsorted(P, (-(-h0 // m)).astype(_STORE))
             n = np.searchsorted(P, ((h1 - 1) // m).astype(_STORE), side="right") - lo
-            p = P[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
-            F[np.repeat(m, n) * p - h0] *= (1 - p ** -2.0) / (1 - 1.0 / p)
+            for _, rows, idx, _ in ep.row_pairs(lo, n, _PAIR_CHUNK):
+                p = P[idx]
+                F[(rows + 1) * p - h0] *= (1 - p ** -2.0) / (1 - 1.0 / p)  # m = rows + 1
         F /= scale
         if h0 == 0:
             F[0] = 0.0
@@ -387,19 +398,22 @@ def _class_sums(q: int, H: float, K: float, k: int) -> tuple:
     One pass over the c_h blocks serves every class: each block's products
     c_h w_h are summed per class by numpy's pairwise sum (a BLAS dot would
     sum them in an order that depends on its thread count), and the block
-    sums are combined exactly.
+    sums are combined exactly.  The weights w_h = e^(-h/H) h^k are formed
+    and multiplied into the block _WEIGHT_PIECE h at a time, elementwise, so
+    the products are those of one block-long weight array bit for bit.
     """
     T = ceil(H * log(3 * H / WSUM_REL_TOL)) + 1
     parts = [[] for _ in range(q)]
     for h0, F in _ck_blocks(T, K):
-        w = np.arange(h0, h0 + F.size, dtype=float)
-        hk = w**k if k else None
-        np.divide(w, -H, out=w)  # -h/H bit for bit, as the sign is exact
-        with np.errstate(under="ignore"):
-            np.exp(w, out=w)
-        if k:
-            w *= hk
-        F *= w
+        for a in range(0, F.size, _WEIGHT_PIECE):
+            w = np.arange(h0 + a, h0 + min(a + _WEIGHT_PIECE, F.size), dtype=float)
+            hk = w**k if k else None
+            np.divide(w, -H, out=w)  # -h/H bit for bit, as the sign is exact
+            with np.errstate(under="ignore"):
+                np.exp(w, out=w)
+            if k:
+                w *= hk
+            F[a:a + w.size] *= w
         lo = max(h0, 1)  # h = 0 is not summed
         for r in range(q):
             i = lo - h0 + (r - lo) % q  # the first h >= lo in the class r

@@ -42,7 +42,10 @@ def test_primes_lists():
 C = ep._PRIME_CHUNK
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 4, 9, 10, 48, 49, 50, 10**4, C - 1, C, C + 1, 2 * C + 3])
+# C - 1 .. 2C + 3 sit on one chunk edge; 2^21 +- 1 and 2^22 + 3 on the edge of the
+# 2^21-integer chunks that were used earlier, four and eight chunks in
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 9, 10, 48, 49, 50, 10**4, C - 1, C, C + 1, 2 * C + 3,
+                               2**21 - 1, 2**21, 2**21 + 1, 2**22 + 3])
 def test_prime_chunks_above_sqrt_equal_the_full_sieve(T):
     # the c_h pass's store: the primes = 3 mod 4 in (sqrt(T), T], sieved one chunk at a time
     r = math.isqrt(T)
@@ -51,6 +54,22 @@ def test_prime_chunks_above_sqrt_equal_the_full_sieve(T):
     full = ep.primes_3mod4(T)
     got = np.concatenate([np.zeros(0, dtype=np.int64)] + [p for _, p in chunks])
     assert np.array_equal(got, full[full > r])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_row_pairs_lists_every_pair_once_in_row_order(chunk):
+    rng = np.random.default_rng(chunk)
+    n = rng.integers(0, 9, size=40)
+    n[[0, 17, -1]] = 0  # empty rows first, inside and last
+    lo = rng.integers(0, 100, size=40)
+    want = [(i, int(lo[i]) + j) for i in range(40) for j in range(int(n[i]))]
+    got = []
+    for i0, rows, idx, starts in ep.row_pairs(lo, n, chunk):
+        assert 0 < rows.size <= chunk and rows[0] == i0 and starts[0] == 0
+        # starts[i - i0] is where row i begins: every pair of row i lies at or after it
+        assert np.array_equal(starts[rows - i0], np.searchsorted(rows, rows))
+        got += zip(rows.tolist(), idx.tolist())
+    assert got == want
 
 
 # the brute product truncated at P misses a tail of order P^(1-w)/log P,

@@ -287,6 +287,15 @@ def test_sum_f_matches_per_prime_recurrence_at_seeded_x():
         assert sieve._sum_f(x) == reference_sum_f(x), x
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_sum_f_matches_per_prime_recurrence_in_small_pair_chunks(monkeypatch, chunk):
+    # chunks of 1, 2 and 7 (v, p) pairs cut rows and leave most rows longer than a chunk
+    real = sieve.row_pairs
+    monkeypatch.setattr(sieve, "row_pairs", lambda lo, n, _: real(lo, n, chunk))
+    for x in (10**4, 29**3 + 1, 123457, 10**6 + 3):
+        assert sieve._sum_f(x) == reference_sum_f(x), x
+
+
 def test_count_memory_is_proportional_to_the_values():
     # the batches of primes above cbrt(x) run in chunks: all of a batch's (v, p) pairs
     # at once (up to 1.3 |V| of them at 10^10) took 98 bytes per value, the chunks

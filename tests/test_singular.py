@@ -82,10 +82,20 @@ C = ep._PRIME_CHUNK
 
 
 @pytest.mark.parametrize("T", [1, 2, 3] + [p * p + e for p in (3, 7, 11, 43) for e in (-1, 0, 1)]
-                         + [10**5, B - 1, B, B + 1, 3 * B + 5, C - 1, C, C + 1, 2 * C + 3])
+                         + [10**5, B - 1, B, B + 1, 3 * B + 5, C - 1, C, C + 1, 2 * C + 3]
+                         + [2**21 - 1, 2**21, 2**21 + 1, 2**22 + 3])
 def test_ck_values_equal_per_prime_power_loop(T):
     # blocks of _CK_BLOCK h, the primes above sqrt(T) sieved in chunks of _PRIME_CHUNK
-    # and applied all at once per block; bit for bit the same as one array
+    # (2^21 +- 1 and 2^22 + 3 sit on the edges of the 2^21-integer chunks used earlier)
+    # and applied _PAIR_CHUNK pairs at a time; bit for bit the same as one array
+    assert np.array_equal(ck_values(T, K), ck_values_per_prime_power(T, K))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("T", [10**5, 3 * B + 5])
+def test_ck_values_in_small_pair_chunks_equal_per_prime_power_loop(monkeypatch, T, chunk):
+    # chunks of 1, 2 and 7 (m, p) pairs cut rows m and leave most rows longer than a chunk
+    monkeypatch.setattr(singular, "_PAIR_CHUNK", chunk)
     assert np.array_equal(ck_values(T, K), ck_values_per_prime_power(T, K))
 
 
@@ -170,6 +180,20 @@ def test_class_sums_peak_memory_grows_with_the_primes_only():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_class_sums_temporaries_do_not_grow_with_T():
+    # cold at H = 1e5 (T = 3.3e6): large-prime pairs in chunks of _PAIR_CHUNK, weights in
+    # pieces of _WEIGHT_PIECE h and primes sieved _PRIME_CHUNK integers at a time hold the
+    # peak at 4.1 MB (one 1 MiB block, the 1.1 MB store); whole-block temporaries took 7.6 MB
+    singular._class_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        singular._class_sums(5, 1e5, K, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_weighted_sum_S_one_pass_serves_every_class():
