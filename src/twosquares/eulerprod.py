@@ -140,8 +140,9 @@ def log_ep3(w, chi: chars.Character = chars.TRIVIAL, _tail_from: float = TAIL_FR
         return complex(_log_levels(w, chi, int(_n_levels(w, _tail_from))))
     J = _n_levels(w, _tail_from)
     out = np.empty(w.shape, dtype=complex)
-    for j in np.unique(J):
-        out[J == j] = _log_levels(w[J == j], chi, int(j))
+    # not np.unique: in numpy 2.4 it imports numpy.ma (25 ms, 1.3 MB) on first use
+    for j in sorted(set(J.ravel().tolist())):
+        out[J == j] = _log_levels(w[J == j], chi, j)
     return out
 
 

@@ -11,8 +11,8 @@ segment is reduced one window at a time, a window in blocks of BLOCK entries,
 in the pool workers when threads > 1; the parent merges the states in segment
 order.  A process holds one window, never a segment: 128 KB of packed words
 up to hi = 2^28 (about 2.7 * 10^8), plus the 1 MB marking buffer when it
-sieves; the window grows with sqrt(hi) to 2 MB of words and a 16 MB buffer
-above 2^34.
+sieves; the window grows with sqrt(hi) to 1 MB of words and an 8 MB buffer,
+reached just above 2^32.
 
 The residue statistics never form an E-element.  The class counts (r = 1)
 have no windows to key, so they take no residue code either: each block's

@@ -6,21 +6,23 @@ tables are needed, and distinct segments are independent, so segments can be
 sieved concurrently and merged.
 
 Marking is vectorized, so no Python loop runs per row and the cost per entry
-grows slowly with height: on one core of a 2-vCPU Xeon VM a 2^26 segment
-takes about 1.2 ns per entry near 0, 1.6 near 10^10, 2.8 near 10^12 and 3.6
-near 10^13.  It is marked in windows of the least power of two >= 64 sqrt(hi)
-entries, at least 2^20 and at most 2^24, each into one reused bool buffer
-then packed into the segment's words 2^20 entries at a time: 8 MB per 2^26
-entries plus the buffer (1 MB up to hi = 2^28, 8 MB near 10^10, 16 MB above
-2^34).  A window is marked by rows in blocks of _ROW_BLOCK (`_mark`): below
-hi = 2^38 the rows are the 0.71 sqrt(hi) values of a, from there on the
+grows slowly with height: on one core of a 2-vCPU Xeon VM a 2^26 segment takes
+about 1.2 ns per entry near 0, 1.6 near 10^10, 2.4 near 10^11, 3.4 near 10^12
+and 5.6 near 10^13 (min of 9 runs).  It is marked in windows of the least
+power of two >= 64 sqrt(hi) entries, at least 2^20 and at most 2^23, each into
+one reused bool buffer then packed into the segment's words 2^20 entries at a
+time: 8 MB per 2^26 entries plus the buffer (1 MB up to hi = 2^28, 8 MB from
+just above 2^32).  The cap keeps the buffer on the fast side of the scatter's
+cache cliff: 6.5M random marks take 52 / 74 / 141 ms into 2^22 / 2^23 / 2^24
+bools.  A window is marked by rows in blocks of _ROW_BLOCK (`_mark`): below
+hi = 2^36 the rows are the 0.71 sqrt(hi) values of a, from there on the
 0.29 sqrt(hi) values of b.  Each row's count of marks is computed first; a row
 with more than _DENSE_ROW marks is marked by one arange, and the block's other
-rows are sorted by their count, so the rows still marking at column step j
-are a suffix of the block: a step costs a scatter and an add per mark, and
-besides the buffers only one block's state is held at any height (a 2^26
-segment at 10^13 peaks at 54 MB in a fresh process, where all rows at once in
-a 2^26 window took 165 MB).
+rows are sorted by their count, so the rows still marking at column step j are
+a suffix of the block: a step costs a scatter and an add per mark, and besides
+the buffers only one block's state is held at any height (a 2^26 segment at
+10^13 peaks at 46 MB in a fresh process, where all rows at once in a 2^26
+window took 165 MB).
 
 With threads > 1 the segments are sieved in a process pool that keeps at most
 `threads` segments in flight (`_map_segments`).  The statistics of
@@ -30,7 +32,7 @@ travels back per segment, never the segment itself.
 The optional cache holds one file per range fetched (`_cached_segment`).
 `progressions` fetches the marking windows of each segment one at a time, so
 the cache holds one file per window and a process never holds more than one
-window: 128 KB of words up to hi = 2^28, 1 MB near 10^10, 2 MB above 2^34.
+window: 128 KB of words up to hi = 2^28 and 1 MB from just above 2^32.
 A file is the range's packed words as they are in memory, after a header with
 its bounds, the payload length and a zlib CRC32: a miss writes the words with
 no copy, and a hit checks the CRC and wraps the file's bytes.  A truncated,
@@ -95,15 +97,15 @@ COUNT_VALUES_BUDGET = 10**7  # max |V| = 2 sqrt(x) for count_up_to: x <= 2.5e13,
 
 _ROW_BLOCK = 1 << 14  # rows marked together: the marking state is a few 128 KiB arrays
 # Windows ending at or above _B_ROWS_FROM are marked by rows b, which are 0.29 sqrt(hi)
-# against 0.71 sqrt(hi) rows a.  Marking one 2^24 window on one core of a 2-vCPU VM,
-# min of 9-11 alternating runs, rows b against rows a: level at 10^11, 4 % faster at
-# 1.5 * 10^11, 11 % at 2^38, 19 % at 10^12 and 34 % at 10^13; 19 % slower at 5 * 10^10.
-_B_ROWS_FROM = 1 << 38
+# against 0.71 sqrt(hi) rows a.  Marking one 2^23 window on one core of a 2-vCPU VM, ns
+# per entry, min of 9 interleaved runs, rows a / rows b: 1.99 / 2.20 at 4 * 10^10, 2.28 /
+# 2.26 at 6 * 10^10, 2.40 / 2.25 at 2^36, 2.52 / 2.15 at 10^11 and 4.74 / 3.20 at 10^12.
+_B_ROWS_FROM = 1 << 36
 # Rows with more than _DENSE_ROW marks are marked by one arange each, so a block takes at
-# most _DENSE_ROW column steps.  In 2^24 windows at 10^12 and 10^13 cuts of 256 to 1,024
-# are level and 6-10 % faster than none (the rows near b = sqrt(lo) hold up to 4,096
-# marks); below about 2 * 10^6, where rows a in a 2^20 window hold up to 1,025 marks,
-# a cut at 512 costs up to 1 ms a window (5.1 against 4.1 ms for the window at 1).
+# most _DENSE_ROW column steps.  In 2^23 windows cuts of 256 / 512 / 1,024 / none take 3.64
+# / 3.44 / 3.60 / 3.89 ns per entry at 10^12 and 6.10 / 5.96 / 6.72 / 7.17 at 10^13; below
+# about 2 * 10^6, where rows a in a 2^20 window hold up to 1,025 marks, a cut at 512 costs
+# up to 1 ms a window (5.1 against 4.1 ms for the window at 1).
 _DENSE_ROW = 512
 _PACK = 1 << 20  # entries packed at a time into a segment's words
 _ROW = 1 << 11  # least row length of `_add_residue_counts`: 512 to 8,192 cost the same
@@ -261,8 +263,11 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     Below 2^52 the float sqrt of v is exact after flooring (at (2^26 + 1)^2 - 1
     it already is not).  Up to 2^62 it is within one of the answer, so one
     correction step each way makes it exact; they run only when some v needs them.
+    The sqrt ufunc casts v to float64 itself, so a call makes one float temporary,
+    not two: in a fresh process that halved the minor page faults of a 2^26
+    segment at 10^12 (4,961 to 2,547, mean of 10 heap layouts).
     """
-    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r = np.sqrt(v, dtype=np.float64).astype(np.int64)
     if v.size and v.max() >= 1 << 52:
         r -= r * r > v
         r += (r + 1) * (r + 1) <= v
@@ -270,18 +275,20 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _window_size(hi: int) -> int:
-    """Marking window for a segment ending at hi: the least power of two >= 64 sqrt(hi), in [2^20, 2^24].
+    """Marking window for a segment ending at hi: the least power of two >= 64 sqrt(hi), in [2^20, 2^23].
 
-    That is 2^20 up to hi = 2^28, 2^23 at 10^10 and 2^24 above 2^34.  Each
-    window makes one pass over its rows (their first column and count of marks,
-    the sort by count): 0.71 sqrt(hi) rows a, or 0.29 sqrt(hi) rows b from 2^38
-    (`_mark`), against about pi/8 marks per entry, so at 64 sqrt(hi) a row a
-    holds at least 32 marks.  The per-row work is about a seventh of `_mark`'s
-    time at 10^10 and 10^12, and 30 % at 10^13, where the cap holds the
-    buffer at 16 MB.
+    That is 2^20 up to hi = 2^28 and 2^23 from just above 2^32 (10^10
+    included).  Each window makes one pass over its rows (their first column
+    and count of marks, the sort by count): 0.71 sqrt(hi) rows a, or
+    0.29 sqrt(hi) rows b from 2^36 (`_mark`), against about pi/8 marks per
+    entry, so below the cap a row a holds at least 32 marks.  The cap holds
+    the buffer at 8 MB, below the scatter's cache cliff (module docstring);
+    above 2^34 it doubles the per-row work per entry, yet the first column and
+    count take only 7 % of `_mark`'s time at 10^10, 9 % at 10^12 and 16 % at
+    10^13 (one 2^23 window, min of 5).
     """
     # 2^k >= 64 sqrt(hi) <=> 4^k >= 4096 hi
-    return min(1 << 24, max(1 << 20, 1 << ((4096 * hi - 1).bit_length() + 1) // 2))
+    return min(1 << 23, max(1 << 20, 1 << ((4096 * hi - 1).bit_length() + 1) // 2))
 
 
 def _mark(bits: np.ndarray, lo: int) -> None:

@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -106,6 +109,19 @@ def test_ep3_vectorized():
     vec = ep.ep3(w)
     for wi, vi in zip(w, vec):
         assert vi == pytest.approx(ep.ep3(float(wi)), rel=1e-12)
+
+
+def test_ep3_on_an_array_does_not_import_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma on first use (about 25 ms and 1.3 MB), which
+    # a cold process that evaluates constants pays for nothing
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, numpy as np; from twosquares import eulerprod; "
+             "eulerprod.ep3(np.array([1.5, 2.0, 3.0, 40.0])); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_dirichlet_chi4_matches_mpmath():

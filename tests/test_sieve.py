@@ -361,7 +361,7 @@ def _rows_b_around_block_multiples(width: int) -> list:
     (10**6, 10**6 + 2**20 - 1),               # row 0 holds 432 marks, more than a byte counts
     (10**12 - 2**16, 10**12 - 1),             # just below a square: most rows hold no mark
     (2**40 - 2**12, 2**40 - 1),
-    # rows b from 2^38: their first row isqrt(lo // 2) = m, or their last row isqrt(hi) = m
+    # rows b (from _B_ROWS_FROM): their first row isqrt(lo // 2) = m, or their last row isqrt(hi) = m
     # (which marks hi = m^2 itself), one below, on and one above a _ROW_BLOCK multiple
     *[(2 * m * m, 2 * m * m + 2**12 - 1) for k in (24,)
       for m in (k * sieve._ROW_BLOCK - 1, k * sieve._ROW_BLOCK, k * sieve._ROW_BLOCK + 1)],
@@ -373,12 +373,16 @@ def _rows_b_around_block_multiples(width: int) -> list:
     # row 0 (lo = 0) marks b = 0 .. isqrt(hi): _DENSE_ROW marks, which go through the
     # column steps, or one more, which are one arange
     *[(0, (sieve._DENSE_ROW - 1 + d) ** 2) for d in (0, 1)],
-    # the same for row b (lo = b^2) from 2^38, a = 0 .. 511 or 512 (_DENSE_ROW is 512):
+    # the same for row b (lo = b^2 >= _B_ROWS_FROM), a = 0 .. 511 or 512 (_DENSE_ROW is 512):
     # b^2 + 511^2 and b^2 + 512^2 are prime, so row b's last mark alone sets hi
     *[(b * b, b * b + c * c) for b, c in ((2**19 + 2, 511), (2**19 + 19, 512))],
-    (2**38 - 2**12, 2**38 - 1),               # the last window marked by rows a
-    (2**38 - 2**12 + 1, 2**38),               # the first marked by rows b
-    (2**38 - 2**12, 2**38 + 2**12),           # across 2^38, in one window
+    # the switch to rows b at _B_ROWS_FROM, and the same three cases at 2^38, where it was
+    # before (rows b mark all three there now)
+    *[case for edge in (sieve._B_ROWS_FROM, 2**38) for case in (
+        (edge - 2**12, edge - 1),             # the last window marked by rows a
+        (edge - 2**12 + 1, edge),             # the first marked by rows b
+        (edge - 2**12, edge + 2**12),         # across the switch, in one window
+    )],
 ])
 def test_segment_matches_reference_loop(lo, hi):
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
@@ -392,17 +396,27 @@ def test_narrow_windows_match_reference_loop(lo, width):
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
 
 
-@given(st.integers(min_value=2**38, max_value=2**44), st.integers(min_value=1, max_value=4096))
+@given(st.integers(min_value=sieve._B_ROWS_FROM, max_value=2**44),
+       st.integers(min_value=1, max_value=4096))
 @settings(max_examples=40, deadline=None)
 def test_narrow_windows_marked_by_rows_b_match_valuation_oracle(lo, width):
-    # from 2^38 on, windows are marked by rows b; the reference loop would take up to
-    # 3 million Python steps here
+    # from _B_ROWS_FROM on, windows are marked by rows b; the reference loop would take up
+    # to 3 million Python steps here
     hi = lo + width - 1
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, valuation_segment(lo, hi))
 
 
 def test_windows_of_both_row_kinds_in_one_segment(monkeypatch):
-    # windows of 2^10 entries: the four below 2^38 are marked by rows a, the four from it by rows b
+    # windows of 2^10 entries: the four below _B_ROWS_FROM are marked by rows a, the four
+    # from it by rows b
+    monkeypatch.setattr(sieve, "_window_size", lambda hi: 1 << 10)
+    edge = sieve._B_ROWS_FROM
+    lo, hi = edge - 2**12, edge + 2**12 - 1
+    assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
+
+
+def test_windows_across_2_38_in_one_segment(monkeypatch):
+    # the same eight windows across 2^38, the earlier switch height: rows b mark all of them
     monkeypatch.setattr(sieve, "_window_size", lambda hi: 1 << 10)
     lo, hi = 2**38 - 2**12, 2**38 + 2**12 - 1
     assert np.array_equal(sieve.sieve_segment(lo, hi).bits, reference_segment(lo, hi))
@@ -439,12 +453,21 @@ def test_valuation_oracle_matches_reference_loop(lo, hi):
 @pytest.mark.parametrize("lo, start, stop", [
     (2**40 + 3, 0, 2**20),
     (10**13, 0, 2**20),
-    (10**13, 2**24 - 2**19, 2**24 + 2**19),  # across the edge of the first 2^24 window
+    (10**13, 2**23 - 2**19, 2**23 + 2**19),  # across the edge of the first 2^23 window
+    (10**13, 2**24 - 2**19, 2**24 + 2**19),  # across the edge of the second
 ])
 def test_high_segments_match_valuation_oracle(lo, start, stop):
     # the reference loop takes one Python step per row: 2.2 million rows at 1e13
     seg = sieve.sieve_segment(lo, lo + stop - 1)
     assert np.array_equal(seg.bits[start:], valuation_segment(lo + start, lo + stop - 1))
+
+
+@pytest.mark.parametrize("hi", [1, 2**28, 2**28 + 1, 10**10, 2**34, 2**34 + 1, 10**13, 2**62 - 1])
+def test_window_size_is_a_power_of_two_of_at_least_64_sqrt_hi_up_to_2_23(hi):
+    w = sieve._window_size(hi)
+    assert w & (w - 1) == 0 and 2**20 <= w <= 2**23
+    assert w == 2**23 or w * w >= 4096 * hi  # w >= 64 sqrt(hi), exactly
+    assert w == 2**20 or w * w < 4 * 4096 * hi  # and the least such power of two
 
 
 @pytest.mark.parametrize("lo", [10**10, 10**12, 2**40 + 3, 10**13])
